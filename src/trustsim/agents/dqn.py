@@ -33,7 +33,7 @@ class DqnAgent:
         self.rng = rng
         self.online = DuelingNetwork(state_dim, hp.hidden_sizes, hp.head_hidden, n_actions, rng)
         self.target = self.online.clone()
-        self.optimizer = Adam(self.online.parameters(), lr=hp.learning_rate)
+        self.optimizer = Adam(self.online.flat, lr=hp.learning_rate)
         self.buffer = ReplayBuffer(hp.buffer_capacity, state_dim)
         self.eps = hp.eps_start
         self._decay = hp.episode_eps_decay(episodes_total)

@@ -61,7 +61,7 @@ class MarlPool:
         self.online = DuelingNetwork(state_dim, hp.hidden_sizes, hp.head_hidden, n_actions, rng)
         self.acting = self.online.clone()
         self.target = self.online.clone()
-        self.optimizer = Adam(self.online.parameters(), lr=hp.learning_rate)
+        self.optimizer = Adam(self.online.flat, lr=hp.learning_rate)
         self.buffers = [ReplayBuffer(hp.buffer_capacity, state_dim) for _ in range(n_agents)]
         streams = rng.spawn(n_agents + 1)
         self.agent_rngs = streams[:n_agents]

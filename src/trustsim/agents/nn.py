@@ -3,8 +3,8 @@
 The topology is small and fixed (trunk 16->128->64, value head 64->32->1,
 advantage head 64->32->3 by default), so the network is implemented
 directly on numpy arrays with an adaptive-moment optimizer rather than
-pulling in an ML framework.  The elementwise-heavy kernels route through
-``trustsim._kernels`` and pick up the numba path when available.
+pulling in an ML framework.  All parameters live in one contiguous float64
+vector; the per-layer weights and biases are reshaped views into it.
 """
 
 from __future__ import annotations
@@ -12,10 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-
-from .. import _kernels
-
-K = _kernels.ACTIVE
 
 
 @dataclass(frozen=True)
@@ -58,8 +54,23 @@ def glorot_uniform(fan_in: int, fan_out: int, rng: np.random.Generator) -> np.nd
     return rng.uniform(-limit, limit, size=(fan_in, fan_out))
 
 
+def layout_views(vec: np.ndarray, layout) -> list[np.ndarray]:
+    """Reshaped views into ``vec``, one per (name, shape) entry, in order."""
+    views, start = [], 0
+    for _, shape in layout:
+        size = int(np.prod(shape))
+        views.append(vec[start : start + size].reshape(shape))
+        start += size
+    return views
+
+
 class DuelingNetwork:
-    """Q(s, a) = V(s) + A(s, a) - mean_a' A(s, a'), with ReLU activations."""
+    """Q(s, a) = V(s) + A(s, a) - mean_a' A(s, a'), with ReLU activations.
+
+    ``layout`` lists each parameter's name and shape in checkpoint order;
+    ``flat`` holds them all back to back and ``grad`` is the matching
+    gradient buffer that ``backward`` fills.
+    """
 
     def __init__(
         self,
@@ -76,38 +87,32 @@ class DuelingNetwork:
         self.head_hidden = head_hidden
         self.n_actions = n_actions
 
-        self.trunk_w = []
-        self.trunk_b = []
-        prev = input_dim
-        for h in self.hidden_sizes:
-            self.trunk_w.append(glorot_uniform(prev, h, rng))
-            self.trunk_b.append(np.zeros(h))
-            prev = h
-        self.vw0 = glorot_uniform(prev, head_hidden, rng)
-        self.vb0 = np.zeros(head_hidden)
-        self.vw1 = glorot_uniform(head_hidden, 1, rng)
-        self.vb1 = np.zeros(1)
-        self.aw0 = glorot_uniform(prev, head_hidden, rng)
-        self.ab0 = np.zeros(head_hidden)
-        self.aw1 = glorot_uniform(head_hidden, n_actions, rng)
-        self.ab1 = np.zeros(n_actions)
+        dims = (input_dim,) + self.hidden_sizes
+        self.layout = []
+        for i in range(len(self.hidden_sizes)):
+            self.layout += [(f"trunk_w{i}", (dims[i], dims[i + 1])), (f"trunk_b{i}", (dims[i + 1],))]
+        for head, out_dim in (("value", 1), ("adv", n_actions)):
+            self.layout += [
+                (f"{head}_w0", (dims[-1], head_hidden)),
+                (f"{head}_b0", (head_hidden,)),
+                (f"{head}_w1", (head_hidden, out_dim)),
+                (f"{head}_b1", (out_dim,)),
+            ]
+        size = sum(int(np.prod(shape)) for _, shape in self.layout)
+        self.flat = np.zeros(size)
+        self.grad = np.zeros(size)
 
-    # parameter order is the declared checkpoint order
-    def parameters(self) -> list[np.ndarray]:
-        params = []
-        for w, b in zip(self.trunk_w, self.trunk_b):
-            params.extend([w, b])
-        params.extend([self.vw0, self.vb0, self.vw1, self.vb1])
-        params.extend([self.aw0, self.ab0, self.aw1, self.ab1])
-        return params
-
-    def parameter_names(self) -> list[str]:
-        names = []
-        for i in range(len(self.trunk_w)):
-            names.extend([f"trunk_w{i}", f"trunk_b{i}"])
-        names.extend(["value_w0", "value_b0", "value_w1", "value_b1"])
-        names.extend(["adv_w0", "adv_b0", "adv_w1", "adv_b1"])
-        return names
+        params = layout_views(self.flat, self.layout)
+        for p in params:
+            if p.ndim == 2:  # weights drawn in layout order; biases stay zero
+                p[...] = glorot_uniform(*p.shape, rng)
+        n = 2 * len(self.hidden_sizes)
+        self.trunk_w, self.trunk_b = params[0:n:2], params[1:n:2]
+        self.vw0, self.vb0, self.vw1, self.vb1, self.aw0, self.ab0, self.aw1, self.ab1 = params[n:]
+        grads = layout_views(self.grad, self.layout)
+        self._grad_trunk = list(zip(grads[0:n:2], grads[1:n:2]))
+        self._grad_value = grads[n : n + 4]
+        self._grad_adv = grads[n + 4 :]
 
     def topology(self) -> dict:
         return {
@@ -118,8 +123,7 @@ class DuelingNetwork:
         }
 
     def copy_from(self, other: "DuelingNetwork") -> None:
-        for dst, src in zip(self.parameters(), other.parameters()):
-            np.copyto(dst, src)
+        np.copyto(self.flat, other.flat)
 
     def clone(self) -> "DuelingNetwork":
         twin = DuelingNetwork(self.input_dim, self.hidden_sizes, self.head_hidden, self.n_actions)
@@ -130,13 +134,13 @@ class DuelingNetwork:
         cache = {"x": x, "trunk": []} if keep_cache else None
         h = x
         for w, b in zip(self.trunk_w, self.trunk_b):
-            h = K.dense_relu_forward(h, w, b)
+            h = np.maximum(h @ w + b, 0.0)
             if keep_cache:
                 cache["trunk"].append(h)
-        vh = K.dense_relu_forward(h, self.vw0, self.vb0)
-        v = K.dense_forward(vh, self.vw1, self.vb1)
-        ah = K.dense_relu_forward(h, self.aw0, self.ab0)
-        a = K.dense_forward(ah, self.aw1, self.ab1)
+        vh = np.maximum(h @ self.vw0 + self.vb0, 0.0)
+        v = vh @ self.vw1 + self.vb1
+        ah = np.maximum(h @ self.aw0 + self.ab0, 0.0)
+        a = ah @ self.aw1 + self.ab1
         q = v + a - a.mean(axis=1, keepdims=True)
         if keep_cache:
             cache["vh"] = vh
@@ -159,57 +163,51 @@ class DuelingNetwork:
             raise FloatingPointError("non-finite activations in Q forward pass")
         return q, cache
 
-    def backward(self, cache: dict, dq: np.ndarray) -> list[np.ndarray]:
-        """Gradients of a scalar loss wrt parameters, given dL/dQ.
+    def backward(self, cache: dict, dq: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar loss wrt ``flat``, given dL/dQ.
 
-        Returns arrays in the same order as ``parameters()``.
+        Returns ``self.grad``, which the next call overwrites.
         """
         # combine layer: q_ij = v_i + a_ij - mean_j' a_ij'
         da = dq - dq.mean(axis=1, keepdims=True)
         dv = dq.sum(axis=1, keepdims=True)
 
         h_last = cache["trunk"][-1] if cache["trunk"] else cache["x"]
+        dh = self._head_backward(h_last, cache["vh"], dv, self.vw0, self.vw1, self._grad_value)
+        dh = dh + self._head_backward(h_last, cache["ah"], da, self.aw0, self.aw1, self._grad_adv)
 
-        # value head
-        d_vw1 = K.grad_weights(cache["vh"], dv)
-        d_vb1 = K.colsum(dv)
-        dvh = K.relu_backward(K.grad_input(dv, self.vw1), cache["vh"])
-        d_vw0 = K.grad_weights(h_last, dvh)
-        d_vb0 = K.colsum(dvh)
-
-        # advantage head
-        d_aw1 = K.grad_weights(cache["ah"], da)
-        d_ab1 = K.colsum(da)
-        dah = K.relu_backward(K.grad_input(da, self.aw1), cache["ah"])
-        d_aw0 = K.grad_weights(h_last, dah)
-        d_ab0 = K.colsum(dah)
-
-        dh = K.grad_input(dvh, self.vw0) + K.grad_input(dah, self.aw0)
-
-        trunk_grads = []
         for i in range(len(self.trunk_w) - 1, -1, -1):
-            z = cache["trunk"][i]
-            dz = K.relu_backward(dh, z)
+            dz = dh * (cache["trunk"][i] > 0.0)
             prev = cache["trunk"][i - 1] if i > 0 else cache["x"]
-            trunk_grads.append((K.grad_weights(prev, dz), K.colsum(dz)))
+            g_w, g_b = self._grad_trunk[i]
+            np.matmul(prev.T, dz, out=g_w)
+            np.sum(dz, axis=0, out=g_b)
             if i > 0:
-                dh = K.grad_input(dz, self.trunk_w[i])
-        trunk_grads.reverse()
+                dh = dz @ self.trunk_w[i].T
+        return self.grad
 
-        grads = []
-        for gw, gb in trunk_grads:
-            grads.extend([gw, gb])
-        grads.extend([d_vw0, d_vb0, d_vw1, d_vb1])
-        grads.extend([d_aw0, d_ab0, d_aw1, d_ab1])
-        return grads
+    @staticmethod
+    def _head_backward(h_last, hidden, dout, w0, w1, grads) -> np.ndarray:
+        """Write one head's gradients into ``grads``; return dL/d(h_last)."""
+        g_w0, g_b0, g_w1, g_b1 = grads
+        np.matmul(hidden.T, dout, out=g_w1)
+        np.sum(dout, axis=0, out=g_b1)
+        dhidden = (dout @ w1.T) * (hidden > 0.0)
+        np.matmul(h_last.T, dhidden, out=g_w0)
+        np.sum(dhidden, axis=0, out=g_b0)
+        return dhidden @ w0.T
 
 
 class Adam:
-    """Adaptive-moment optimizer with standard defaults and bias correction."""
+    """Adaptive-moment optimizer with standard defaults and bias correction.
+
+    Updates ``params`` (a flat vector) in place; two preallocated scratch
+    vectors keep each step free of parameter-sized temporaries.
+    """
 
     def __init__(
         self,
-        params: list[np.ndarray],
+        params: np.ndarray,
         lr: float = 5e-4,
         beta1: float = 0.9,
         beta2: float = 0.999,
@@ -221,17 +219,30 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros(p.size) for p in params]
-        self.v = [np.zeros(p.size) for p in params]
+        self.m = np.zeros_like(params)
+        self.v = np.zeros_like(params)
+        self._s1 = np.empty_like(params)
+        self._s2 = np.empty_like(params)
 
-    def step(self, grads: list[np.ndarray]) -> None:
+    def step(self, grad: np.ndarray) -> None:
         self.t += 1
-        b1t = self.beta1**self.t
-        b2t = self.beta2**self.t
-        for p, g, m, v in zip(self.params, grads, self.m, self.v):
-            K.adam_update(
-                p.reshape(-1), g.reshape(-1), m, v, self.lr, self.beta1, self.beta2, self.eps, b1t, b2t
-            )
+        m, v, s1, s2 = self.m, self.v, self._s1, self._s2
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        m *= self.beta1
+        np.multiply(grad, 1.0 - self.beta1, out=s1)
+        m += s1
+        v *= self.beta2
+        np.multiply(grad, 1.0 - self.beta2, out=s1)
+        s1 *= grad
+        v += s1
+        # p -= lr mhat / (sqrt(vhat) + eps), with bias-corrected mhat and vhat
+        np.divide(m, 1.0 - self.beta1**self.t, out=s1)
+        s1 *= self.lr
+        np.divide(v, 1.0 - self.beta2**self.t, out=s2)
+        np.sqrt(s2, out=s2)
+        s2 += self.eps
+        s1 /= s2
+        self.params -= s1
 
 
 def sync_target(net: DuelingNetwork, target_net: DuelingNetwork) -> DuelingNetwork:

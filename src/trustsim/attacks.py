@@ -406,7 +406,6 @@ class StepEffects:
     perturbations: list
     conflicting: set
     corruption: dict
-    vote_overrides: dict
 
 
 class Attack:
@@ -441,12 +440,7 @@ class Attack:
                 corruption[p.target] = p.feature_mask["trust_value"]
             else:
                 evidence.append(p)
-        return StepEffects(
-            perturbations=evidence,
-            conflicting=conflicting,
-            corruption=corruption,
-            vote_overrides=self.vote_overrides(net),
-        )
+        return StepEffects(perturbations=evidence, conflicting=conflicting, corruption=corruption)
 
     def vote_overrides(self, net: NetworkState) -> dict:
         """Consensus vote behavior beyond the Invalid default.

@@ -198,13 +198,9 @@ def apply_override(cfg: ExperimentConfig, dotted: str) -> ExperimentConfig:
     return apply_setting(cfg, section.strip(), key.strip(), value)
 
 
-def manifest_lines(cfg: ExperimentConfig, episodes: int, backend: str, version: str) -> list[str]:
+def manifest_lines(cfg: ExperimentConfig, episodes: int, version: str) -> list[str]:
     """Fully resolved configuration as stable key=value lines."""
-    lines = [
-        f"trustsim_version={version}",
-        f"kernel_backend={backend}",
-        f"episodes_resolved={episodes}",
-    ]
+    lines = [f"trustsim_version={version}", f"episodes_resolved={episodes}"]
 
     def emit(prefix: str, obj) -> None:
         for f in sorted(fields(obj), key=lambda f: f.name):

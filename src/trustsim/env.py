@@ -386,7 +386,7 @@ def run_episode(
         throughput=net.verified_tx_total,
         chain_length=net.chain_length,
         mean_kappa=float(np.mean(env.kappas)) if env.kappas else 0.0,
-        trust_separation=trust_separation(net) if len(net.malicious_indices()) else 0.0,
+        trust_separation=trust_separation(net) if 0 < len(net.malicious_indices()) < net.n else 0.0,
         delegation_ratio=net.delegation_ratio,
         step_f1=list(env.step_f1),
     )

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, _kernels, metrics
+from . import __version__, metrics
 from .abac import PolicyGate, load_policy
 from .agents import make_agent, save_agent
 from .attacks import Attack
@@ -103,7 +103,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True):
     emit_charts(records, out)
 
     with open(out / "manifest.txt", "w", encoding="utf-8") as fh:
-        for line in manifest_lines(cfg, episodes, _kernels.backend_name(), __version__):
+        for line in manifest_lines(cfg, episodes, __version__):
             fh.write(line + "\n")
     return records
 

@@ -20,12 +20,13 @@ from trustsim.agents import (
     load_agent,
     majority_vote,
     save_agent,
+    save_checkpoint,
     sync_target,
     tabular_update,
     td_loss_and_grads,
     train_step,
 )
-from trustsim.agents.nn import Adam, glorot_uniform
+from trustsim.agents.nn import Adam, glorot_uniform, layout_views
 from trustsim.env import Action
 
 HP = AgentHyperparams()
@@ -114,8 +115,7 @@ def tiny_net(seed=0):
 def test_forward_mean_centered_combination():
     net = DuelingNetwork(rng=np.random.default_rng(1))
     # craft exact head outputs by zeroing weights and setting biases
-    for w in net.parameters():
-        w[...] = 0.0
+    net.flat[...] = 0.0
     net.vb1[:] = 2.0
     net.ab1[:] = [1.0, 2.0, 3.0]
     q = net.forward(np.zeros(16))
@@ -124,8 +124,7 @@ def test_forward_mean_centered_combination():
 
 def test_forward_constant_advantage_collapses_to_value():
     net = DuelingNetwork(rng=np.random.default_rng(1))
-    for w in net.parameters():
-        w[...] = 0.0
+    net.flat[...] = 0.0
     net.vb1[:] = 7.0
     net.ab1[:] = 4.0
     assert np.allclose(net.forward(np.zeros(16)), 7.0)
@@ -219,19 +218,16 @@ def finite_difference_check(net, states, actions, targets, h=1e-5):
         return float(np.mean(delta**2))
 
     worst = 0.0
-    for param, grad in zip(net.parameters(), grads):
-        flat_p = param.reshape(-1)
-        flat_g = grad.reshape(-1)
-        for i in range(flat_p.size):
-            orig = flat_p[i]
-            flat_p[i] = orig + h
-            up = loss_at()
-            flat_p[i] = orig - h
-            down = loss_at()
-            flat_p[i] = orig
-            fd = (up - down) / (2 * h)
-            denom = max(abs(fd), abs(flat_g[i]), 1e-6)
-            worst = max(worst, abs(fd - flat_g[i]) / denom)
+    for i in range(net.flat.size):
+        orig = net.flat[i]
+        net.flat[i] = orig + h
+        up = loss_at()
+        net.flat[i] = orig - h
+        down = loss_at()
+        net.flat[i] = orig
+        fd = (up - down) / (2 * h)
+        denom = max(abs(fd), abs(grads[i]), 1e-6)
+        worst = max(worst, abs(fd - grads[i]) / denom)
     return worst
 
 
@@ -239,7 +235,7 @@ def kink_free_fixture(seed=7, batch=5):
     """Tiny net and batch whose pre-activations all sit clear of the kinks."""
     rng = np.random.default_rng(seed)
     net = tiny_net(seed)
-    for p in net.parameters():
+    for p in layout_views(net.flat, net.layout):
         if p.ndim == 1:  # nonzero biases keep dead inputs off the exact kink
             p[...] = rng.normal(0.0, 0.3, size=p.shape)
     states = rng.normal(size=(batch, 16))
@@ -265,10 +261,36 @@ def test_gradient_check_against_central_finite_differences():
     assert finite_difference_check(net, states, actions, targets) < 1e-4
 
 
+def test_adam_update_matches_reference():
+    rng = np.random.default_rng(0)
+    p = rng.normal(size=32)
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    opt = Adam(p, lr=lr, beta1=b1, beta2=b2, eps=eps)
+    p_ref, m, v = p.copy(), np.zeros(32), np.zeros(32)
+    for t in range(1, 6):
+        g = rng.normal(size=32)
+        opt.step(g)
+        m = b1 * m + (1.0 - b1) * g
+        v = b2 * v + (1.0 - b2) * g * g
+        p_ref -= lr * (m / (1.0 - b1**t)) / (np.sqrt(v / (1.0 - b2**t)) + eps)
+        assert np.array_equal(p, p_ref)
+        assert np.array_equal(opt.m, m) and np.array_equal(opt.v, v)
+
+
+def test_network_parameters_are_views_into_flat():
+    net = tiny_net()
+    assert all(np.shares_memory(w, net.flat) for w in net.trunk_w + [net.vw0, net.ab1])
+    other = tiny_net(1)
+    other.copy_from(net)
+    assert np.array_equal(other.flat, net.flat) and not np.shares_memory(other.flat, net.flat)
+    s = np.random.default_rng(0).normal(size=16)
+    assert np.array_equal(other.forward(s), net.forward(s))
+
+
 def test_train_step_skips_until_buffer_fills():
     hp = AgentHyperparams(batch_size=8)
     net, tgt = tiny_net(1), tiny_net(2)
-    opt = Adam(net.parameters(), lr=hp.learning_rate)
+    opt = Adam(net.flat, lr=hp.learning_rate)
     buf = ReplayBuffer(100, 16)
     assert train_step(net, tgt, buf, opt, hp, np.random.default_rng(0)) is None
 
@@ -277,7 +299,7 @@ def test_train_step_loss_finite_nonnegative():
     hp = AgentHyperparams(batch_size=8)
     rng = np.random.default_rng(3)
     net, tgt = tiny_net(1), tiny_net(2)
-    opt = Adam(net.parameters(), lr=hp.learning_rate)
+    opt = Adam(net.flat, lr=hp.learning_rate)
     buf = ReplayBuffer(100, 16)
     for _ in range(8):
         buf.push(rng.normal(size=16), int(rng.integers(3)), float(rng.normal()), rng.normal(size=16), False)
@@ -289,7 +311,7 @@ def test_overfit_single_transition():
     hp = AgentHyperparams(batch_size=1, learning_rate=5e-4)
     rng = np.random.default_rng(11)
     net, tgt = tiny_net(5), tiny_net(6)
-    opt = Adam(net.parameters(), lr=hp.learning_rate)
+    opt = Adam(net.flat, lr=hp.learning_rate)
     buf = ReplayBuffer(10, 16)
     s = rng.normal(size=16)
     buf.push(s, 1, 0.5, rng.normal(size=16), True)  # terminal: fixed target 0.5
@@ -467,6 +489,34 @@ def test_checkpoint_magic_rejected(tmp_path):
     path.write_bytes(b"not a checkpoint")
     with pytest.raises(ValueError):
         load_agent(path)
+
+
+def test_checkpoint_trailing_bytes_rejected(tmp_path):
+    path = tmp_path / "drl.ckpt"
+    save_agent(DqnAgent(HP, np.random.default_rng(9), 50), path, seed=9)
+    load_agent(path)
+    path.write_bytes(path.read_bytes() + b"garbage")
+    with pytest.raises(ValueError, match="trailing"):
+        load_agent(path)
+    path.write_bytes(path.read_bytes()[: -len("garbage") - 8])
+    with pytest.raises(ValueError, match="truncated"):
+        load_agent(path)
+
+
+def test_checkpoint_written_atomically(tmp_path):
+    path = tmp_path / "drl.ckpt"
+    save_agent(DqnAgent(HP, np.random.default_rng(9), 50), path, seed=9)
+    original = path.read_bytes()
+
+    class Unwritable:
+        def __array__(self, *args, **kwargs):
+            raise OSError("disk full")
+
+    # a write that dies after the header leaves the old file whole and no temp file behind
+    with pytest.raises(OSError):
+        save_checkpoint(path, "dqn", {}, {}, 9, [("x", (2,))], [Unwritable()])
+    assert path.read_bytes() == original
+    assert [p.name for p in tmp_path.iterdir()] == ["drl.ckpt"]
 
 
 # --- init ----------------------------------------------------------------

@@ -202,7 +202,7 @@ def test_render_chart_rejects_empty():
 
 def test_manifest_contains_resolved_config():
     cfg = ExperimentConfig(agent="marl", attack="cra", seed=7)
-    lines = manifest_lines(cfg, 50, "numpy", "0.1.0")
+    lines = manifest_lines(cfg, 50, "0.1.0")
     text = "\n".join(lines)
     assert "agent=marl" in text
     assert "attack_cfg.cra_intensity=0.85" in text

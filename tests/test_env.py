@@ -156,3 +156,14 @@ def test_run_episode_rejects_bad_steps():
     env, agent, *_ = build_simulation(ExperimentConfig(agent="rl", attack="nma"))
     with pytest.raises(ValueError):
         run_episode(env, agent, episode_index=1, steps=0)
+
+
+@pytest.mark.parametrize("ratio", [0.0, 1.0])
+@pytest.mark.parametrize("attack", ["nma", "cra", "aaa", "bfi", "tdp"])
+def test_single_role_population_runs_to_completion(attack, ratio):
+    cfg = ExperimentConfig(agent="rl", attack=attack, episodes=2, steps=20, seed=3,
+                           malicious_ratio=ratio, allow_short_tdp=True)
+    records, env, *_ = simulate(cfg)
+    assert len(records) == 2
+    assert int(env.net.malicious_mask.sum()) == (16 if ratio == 1.0 else 0)
+    assert all(r.trust_separation == 0.0 for r in records)
