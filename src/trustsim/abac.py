@@ -17,6 +17,7 @@ Leaves compare one attribute against an integer constant with one of
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import re
@@ -43,6 +44,10 @@ DEFAULT_SCHEMA = {
 }
 
 DEFAULT_POLICY_TEXT = "(trust >= 45) & ((role == 2) | (role == 3))"
+
+# the attributes every simulated node presents to the gate, in matrix
+# column order; trust (column 0) is the per-node column, filled in at decision time
+NODE_ATTRIBUTES = {"trust": 0, "role": ROLE_VALIDATOR, "clearance": 3, "permissions": 7}
 
 
 @dataclass(frozen=True)
@@ -112,6 +117,26 @@ def eval_policy_plain(policy: Policy, attrs: AttributeSet) -> bool:
         return all(eval_policy_plain(c, attrs) for c in policy.children)
     if isinstance(policy, Or):
         return any(eval_policy_plain(c, attrs) for c in policy.children)
+    raise TypeError(f"not a policy node: {policy!r}")
+
+
+def compile_policy(policy: Policy, columns: tuple):
+    """The policy as one vectorised predicate over an integer attribute matrix.
+
+    ``columns`` names the matrix columns; the returned function maps a
+    (nodes x columns) matrix to one bool per row, equal row by row to
+    ``eval_policy_plain``.  A leaf naming no column raises AbacError here,
+    before any node is evaluated.
+    """
+    if isinstance(policy, Leaf):
+        if policy.attribute not in columns:
+            raise AbacError(f"policy references unknown attribute {policy.attribute!r}")
+        j, op, constant = columns.index(policy.attribute), _OPS[policy.op], policy.constant
+        return lambda matrix: op(matrix[:, j], constant)
+    if isinstance(policy, (And, Or)):
+        combine = np.logical_and if isinstance(policy, And) else np.logical_or
+        parts = [compile_policy(c, columns) for c in policy.children]
+        return lambda matrix: functools.reduce(combine, (part(matrix) for part in parts))
     raise TypeError(f"not a policy node: {policy!r}")
 
 
@@ -312,10 +337,13 @@ def eval_policy_encrypted(policy: Policy, ct: Ciphertext, backend) -> Ciphertext
 class PolicyGate:
     """Per-node access decision used before delegate selection.
 
-    ``mode="plain"`` evaluates the policy tree directly; ``mode="encrypted"``
-    pushes every decision through the full encrypt/eval/decrypt pipeline.
-    The two modes are parity-tested and produce identical decisions; plain
-    is the default because it avoids per-step ciphertext churn.
+    Every node presents the attributes in ``NODE_ATTRIBUTES``: its trust
+    quantized to [0, 100] and the constant validator attributes.
+    ``mode="plain"`` evaluates the policy, compiled once, over all nodes'
+    attribute rows together; ``mode="encrypted"`` pushes every node's
+    decision through the full encrypt/eval/decrypt pipeline.  The two modes
+    are parity-tested and produce identical decisions; plain is the default
+    because it avoids per-step ciphertext churn.
     """
 
     def __init__(self, policy: Policy | None = None, mode: str = "plain", backend=None):
@@ -324,23 +352,24 @@ class PolicyGate:
             raise AbacError(f"gate mode must be plain|encrypted, got {mode!r}")
         self.mode = mode
         self.backend = backend if backend is not None else SimulatedFheBackend()
+        self._predicate = compile_policy(self.policy, tuple(NODE_ATTRIBUTES))
+        self._row = np.array(list(NODE_ATTRIBUTES.values()), dtype=np.int64)
 
     def decide(self, attrs: AttributeSet) -> bool:
         if self.mode == "plain":
-            return eval_policy_plain(self.policy, attrs)
+            row = [attrs.values[name] for name in NODE_ATTRIBUTES]
+            return bool(self._predicate(np.array([row]))[0])
         ct = self.backend.encrypt_attributes(attrs)
         return self.backend.decrypt_decision(self.backend.eval_policy(self.policy, ct))
 
     def node_attributes(self, tau: float, role_code: int = ROLE_VALIDATOR) -> AttributeSet:
-        return AttributeSet(
-            {"trust": quantize_trust(tau), "role": role_code, "clearance": 3, "permissions": 7}
-        )
+        return AttributeSet({**NODE_ATTRIBUTES, "trust": quantize_trust(tau), "role": role_code})
 
-    def accepted(self, trusts, role_codes=None) -> np.ndarray:
-        """Indices of nodes whose access decision is accept."""
-        out = []
-        for i, tau in enumerate(trusts):
-            role = ROLE_VALIDATOR if role_codes is None else role_codes[i]
-            if self.decide(self.node_attributes(float(tau), role)):
-                out.append(i)
-        return np.array(out, dtype=np.int64)
+    def accepted(self, trusts) -> np.ndarray:
+        """Indices of nodes whose access decision is accept, ascending."""
+        if self.mode == "plain":
+            matrix = np.tile(self._row, (len(trusts), 1))
+            matrix[:, 0] = np.clip(np.floor(np.asarray(trusts, dtype=float) * 100.0), 0, 100)
+            return np.flatnonzero(self._predicate(matrix))
+        decisions = [self.decide(self.node_attributes(float(tau))) for tau in trusts]
+        return np.flatnonzero(np.array(decisions, dtype=bool))

@@ -9,6 +9,7 @@ vector; the per-layer weights and biases are reshaped views into it.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,7 +70,7 @@ class DuelingNetwork:
 
     ``layout`` lists each parameter's name and shape in checkpoint order;
     ``flat`` holds them all back to back and ``grad`` is the matching
-    gradient buffer that ``backward`` fills.
+    gradient buffer that ``backward`` fills (``None`` on a clone).
     """
 
     def __init__(
@@ -99,20 +100,24 @@ class DuelingNetwork:
                 (f"{head}_b1", (out_dim,)),
             ]
         size = sum(int(np.prod(shape)) for _, shape in self.layout)
-        self.flat = np.zeros(size)
-        self.grad = np.zeros(size)
-
-        params = layout_views(self.flat, self.layout)
-        for p in params:
+        self._bind(np.zeros(size))
+        for p in layout_views(self.flat, self.layout):
             if p.ndim == 2:  # weights drawn in layout order; biases stay zero
                 p[...] = glorot_uniform(*p.shape, rng)
-        n = 2 * len(self.hidden_sizes)
-        self.trunk_w, self.trunk_b = params[0:n:2], params[1:n:2]
-        self.vw0, self.vb0, self.vw1, self.vb1, self.aw0, self.ab0, self.aw1, self.ab1 = params[n:]
+        self.grad = np.zeros(size)
         grads = layout_views(self.grad, self.layout)
+        n = 2 * len(self.hidden_sizes)
         self._grad_trunk = list(zip(grads[0:n:2], grads[1:n:2]))
         self._grad_value = grads[n : n + 4]
         self._grad_adv = grads[n + 4 :]
+
+    def _bind(self, flat: np.ndarray) -> None:
+        """Adopt ``flat`` as the parameter vector and name its per-layer views."""
+        self.flat = flat
+        params = layout_views(flat, self.layout)
+        n = 2 * len(self.hidden_sizes)
+        self.trunk_w, self.trunk_b = params[0:n:2], params[1:n:2]
+        self.vw0, self.vb0, self.vw1, self.vb1, self.aw0, self.ab0, self.aw1, self.ab1 = params[n:]
 
     def topology(self) -> dict:
         return {
@@ -126,8 +131,11 @@ class DuelingNetwork:
         np.copyto(self.flat, other.flat)
 
     def clone(self) -> "DuelingNetwork":
-        twin = DuelingNetwork(self.input_dim, self.hidden_sizes, self.head_hidden, self.n_actions)
-        twin.copy_from(self)
+        """A copy of the parameters for forward passes only (target and acting
+        networks): it draws no weights and has no gradient buffer."""
+        twin = copy.copy(self)  # topology and layout; the parameters are rebound below
+        twin._bind(self.flat.copy())
+        twin.grad = twin._grad_trunk = twin._grad_value = twin._grad_adv = None
         return twin
 
     def _forward(self, x: np.ndarray, keep_cache: bool):

@@ -140,7 +140,6 @@ class AttackState:
     bfi_endorse_cursor: int = 0
     # TDP memory
     tdp_activated: bool = False
-    tdp_targets: tuple = ()
 
 
 def new_state(cfg: AttackConfig) -> AttackState:
@@ -148,10 +147,9 @@ def new_state(cfg: AttackConfig) -> AttackState:
 
 
 def _top_trust(net: NetworkState, indices: np.ndarray, count: int) -> list[int]:
-    """The `count` highest-trust nodes among `indices`; ties break on index."""
-    taus = net.trust_scores()
-    order = sorted(indices, key=lambda i: (-taus[i], i))
-    return [int(i) for i in order[:count]]
+    """The `count` highest-trust nodes among ascending `indices`; ties break on index."""
+    order = np.argsort(-net.trust_scores()[indices], kind="stable")[:count]
+    return indices[order].tolist()
 
 
 def amplified_endorsement(cfg: AttackConfig, magnitude: float) -> float:
@@ -163,11 +161,11 @@ def amplified_endorsement(cfg: AttackConfig, magnitude: float) -> float:
 
 
 def nma_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> list[Perturbation]:
-    honest = net.honest_indices()
+    honest = net.honest
     perts: list[Perturbation] = []
     if len(honest) == 0:
         return perts
-    for m in net.malicious_indices():
+    for m in net.malicious:
         if cfg.nma_p_attack > 0.0 and rng.random() < cfg.nma_p_attack:
             target = int(honest[rng.integers(len(honest))])
             perts.append(
@@ -187,8 +185,8 @@ def nma_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
 def cra_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> list[Perturbation]:
     if net.step_index % cfg.cra_period != 0:
         return []
-    malicious = net.malicious_indices()
-    honest = net.honest_indices()
+    malicious = net.malicious
+    honest = net.honest
     m = len(malicious)
     if m == 0:
         return []
@@ -212,8 +210,8 @@ def cra_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
 def _aaa_apply_strategy(
     cfg: AttackConfig, strategy: int, net: NetworkState, rng
 ) -> list[Perturbation]:
-    malicious = net.malicious_indices()
-    honest = net.honest_indices()
+    malicious = net.malicious
+    honest = net.honest
     m = len(malicious)
     taus = net.trust_scores()
     f = cfg.aaa_factor * cfg.base_evidence
@@ -269,7 +267,7 @@ def _aaa_apply_strategy(
 def aaa_step(
     cfg: AttackConfig, state: AttackState, net: NetworkState, rng
 ) -> tuple[list[Perturbation], AttackState]:
-    malicious = net.malicious_indices()
+    malicious = net.malicious
     if len(malicious) == 0:
         return [], state
     mean_now = float(net.trust_scores()[malicious].mean())
@@ -297,8 +295,8 @@ def aaa_step(
 def bfi_step(
     cfg: AttackConfig, state: AttackState, net: NetworkState, rng
 ) -> tuple[list[Perturbation], AttackState]:
-    byz = net.malicious_indices()
-    honest = net.honest_indices()
+    byz = net.malicious
+    honest = net.honest
     if len(byz) == 0:
         return [], state
     taus = net.trust_scores()
@@ -375,8 +373,8 @@ def tdp_step(
         # run is indistinguishable from one with no attack attached
         return [], state
 
-    sleepers = net.malicious_indices()
-    honest = net.honest_indices()
+    sleepers = net.malicious
+    honest = net.honest
     m = len(sleepers)
     if m == 0:
         return [], state
@@ -385,9 +383,7 @@ def tdp_step(
     all_sleepers = tuple(int(i) for i in sleepers)
     n_targets = int(np.ceil(cfg.tdp_target_ratio * len(honest)))
     penalty = m * cfg.tdp_intensity * cfg.base_evidence
-    targets = tuple(_top_trust(net, honest, n_targets))
-    state.tdp_targets = targets
-    for h in targets:
+    for h in _top_trust(net, honest, n_targets):
         perts.append(Perturbation(h, PerturbationKind.PENALIZE_BETA, penalty, emitters=all_sleepers))
 
     boost = (m - 1) * cfg.tdp_intensity * cfg.base_evidence
@@ -449,7 +445,7 @@ class Attack:
         out-of-band perturbations do the damage.
         """
         if self.cfg.family == "tdp" and self.state.tdp_activated:
-            return {int(i): Vote.VALID for i in net.malicious_indices()}
+            return {int(i): Vote.VALID for i in net.malicious}
         return {}
 
 

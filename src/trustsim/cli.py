@@ -60,6 +60,13 @@ def _parse_list(raw: str, allowed, what: str) -> list[str]:
     return items
 
 
+def _parse_seeds(raw: str) -> list[int]:
+    try:
+        return [int(part) for part in raw.split(",")]
+    except ValueError:
+        raise ConfigError(f"--seeds expects comma-separated integers, got {raw!r}") from None
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -86,7 +93,7 @@ def main(argv=None) -> int:
             attacks = (
                 _parse_list(args.attack, ATTACKS, "attack") if args.attack else ["nma", "cra", "aaa", "bfi", "tdp"]
             )
-            seeds = [int(s) for s in args.seeds.split(",")] if args.seeds else list(MATRIX_SEEDS)
+            seeds = _parse_seeds(args.seeds) if args.seeds else list(MATRIX_SEEDS)
             cfg = replace(cfg, **updates)
             print(f"matrix: {len(agents)} agents x {len(attacks)} attacks x {len(seeds)} seeds -> {cfg.out}")
             results, failures = run_matrix(cfg, agents, attacks, seeds, workers=args.workers, quiet=False)

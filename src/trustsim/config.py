@@ -57,6 +57,10 @@ class ExperimentConfig:
             raise ConfigError("episodes must be >= 1")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.n_nodes < 2:
+            raise ConfigError(f"n_nodes must be >= 2, got {self.n_nodes}")
+        if not (0.0 <= self.malicious_ratio <= 1.0):
+            raise ConfigError(f"malicious_ratio must lie in [0, 1], got {self.malicious_ratio}")
         if self.attack_cfg.family != self.attack:
             object.__setattr__(self, "attack_cfg", replace(self.attack_cfg, family=self.attack))
         if self.env.steps_per_episode != self.steps:
@@ -88,21 +92,6 @@ _SECTION_TARGETS = {
     "env": ("env", EnvConfig),
 }
 
-_TOP_LEVEL_KEYS = {
-    "agent",
-    "attack",
-    "episodes",
-    "steps",
-    "seed",
-    "n_nodes",
-    "malicious_ratio",
-    "out",
-    "gate_mode",
-    "policy_file",
-    "log_evidence",
-    "allow_short_tdp",
-}
-
 
 def _coerce(raw: str, target_type):
     text = raw.strip()
@@ -113,14 +102,17 @@ def _coerce(raw: str, target_type):
         if low in ("false", "0", "no", "off"):
             return False
         raise ConfigError(f"expected a boolean, got {raw!r}")
-    if target_type is int:
-        return int(text)
-    if target_type is float:
-        return float(text)
     if target_type is str:
         return text
-    if target_type is tuple:
-        return tuple(int(part) for part in text.replace(",", " ").split())
+    try:
+        if target_type is int:
+            return int(text)
+        if target_type is float:
+            return float(text)
+        if target_type is tuple:
+            return tuple(int(part) for part in text.replace(",", " ").split())
+    except ValueError:
+        raise ConfigError(f"expected a value of type {target_type.__name__}, got {raw!r}") from None
     raise ConfigError(f"unsupported config value type {target_type}")
 
 
@@ -151,25 +143,23 @@ _TOP_TYPES = {
     "allow_short_tdp": bool,
 }
 
-_NESTED_TYPE_OVERRIDES = {
-    ("agent_hyperparams", "eps_decay"): float,
-    ("agent_hyperparams", "td_clip"): float,
-    ("agent_hyperparams", "hidden_sizes"): tuple,
-}
-
 
 def apply_setting(cfg: ExperimentConfig, section: str, key: str, raw: str) -> ExperimentConfig:
     if section == "experiment":
-        if key not in _TOP_LEVEL_KEYS:
+        if key not in _TOP_TYPES:
             raise ConfigError(f"unknown key [experiment] {key}")
         return replace(cfg, **{key: _coerce(raw, _TOP_TYPES[key])})
     if section not in _SECTION_TARGETS or _SECTION_TARGETS[section] is None:
         raise ConfigError(f"unknown config section [{section}]")
     attr, dc_type = _SECTION_TARGETS[section]
-    ftype = _NESTED_TYPE_OVERRIDES.get((section, key)) or _field_type(dc_type, key)
+    ftype = _field_type(dc_type, key)
     if ftype is None:
         raise ConfigError(f"unknown key [{section}] {key}")
-    nested = replace(getattr(cfg, attr), **{key: _coerce(raw, ftype)})
+    value = _coerce(raw, ftype)
+    try:
+        nested = replace(getattr(cfg, attr), **{key: value})
+    except ValueError as exc:  # the section's own range checks
+        raise ConfigError(f"[{section}] {key}: {exc}") from None
     return replace(cfg, **{attr: nested})
 
 

@@ -98,6 +98,13 @@ def collusion_score(tau_honest_mean: float, tau_malicious_mean: float, kappa_max
     return min(1.0 / gap, kappa_max)
 
 
+def network_kappa(net: NetworkState, taus: np.ndarray, kappa_max: float) -> float:
+    """Collusion score between the honest and malicious mean trust; 0.0 when a role is empty."""
+    if len(net.honest) == 0 or len(net.malicious) == 0:
+        return 0.0
+    return collusion_score(float(taus[net.honest].mean()), float(taus[net.malicious].mean()), kappa_max)
+
+
 def compute_reward(cm: metrics.ConfusionMatrix, r_step: float, kappa: float, cfg: RewardConfig) -> float:
     if kappa < 0:
         raise ValueError("kappa must be nonnegative")
@@ -121,6 +128,18 @@ def _skewness(values: np.ndarray, mean: float, var: float) -> float:
     return m3 / m2**1.5
 
 
+def _linear_quantile(ordered: list, q: float) -> float:
+    """np.percentile(..., method="linear") at fraction q of an ascending list.
+
+    Same index arithmetic and same two-sided lerp as numpy, so the result
+    matches it bit for bit.
+    """
+    position = (len(ordered) - 1) * q
+    below = int(position)
+    a, b, t = ordered[below], ordered[min(below + 1, len(ordered) - 1)], position - below
+    return b - (b - a) * (1.0 - t) if t >= 0.5 else a + (b - a) * t
+
+
 def extract_state(
     net: NetworkState,
     history: "History",
@@ -130,7 +149,8 @@ def extract_state(
     batch_size: int = 10,
 ) -> np.ndarray:
     """Build the 16-feature observation from the current network view."""
-    taus = net.trust_scores()
+    true_taus = net.trust_scores()
+    taus = true_taus
     if corruption:
         taus = taus.copy()
         for node, value in corruption.items():
@@ -139,19 +159,18 @@ def extract_state(
     mean = float(taus.mean())
     var = float(taus.var(ddof=1)) if len(taus) > 1 else 0.0
     skew = _skewness(taus, mean, var)
-    median = float(np.median(taus))
-    spread = float(taus.max() - taus.min())
-    q25, q75 = np.percentile(taus, [25.0, 75.0], method="linear")
-    iqr = float(q75 - q25)
+    ordered = np.sort(taus).tolist()
+    half = len(ordered) // 2
+    median = ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
+    spread = ordered[-1] - ordered[0]
+    iqr = _linear_quantile(ordered, 0.75) - _linear_quantile(ordered, 0.25)
     cv = float(np.sqrt(var) / mean) if mean > 0.0 else 0.0
 
     tx_cap = float(steps_per_episode * batch_size)
     verified_norm = float(np.clip(net.verified_tx_total / tx_cap, 0.0, 1.0)) if tx_cap else 0.0
     chain_norm = float(np.clip(net.chain_length / steps_per_episode, 0.0, 1.0))
 
-    mal = net.malicious_mask
-    n_mal = int(mal.sum())
-    hm_ratio = float((len(taus) - n_mal) / max(1, n_mal))
+    hm_ratio = len(net.honest) / max(1, len(net.malicious))
 
     low_frac = float((taus < LOW_TRUST_CUTOFF).mean())
     high_frac = float((taus > HIGH_TRUST_CUTOFF).mean())
@@ -164,13 +183,7 @@ def extract_state(
     throughput_rate = float(sum(history.verified) / (window * batch_size)) if history.verified else 0.0
     block_rate = float(sum(history.blocks) / window) if history.blocks else 0.0
 
-    true_taus = net.trust_scores()
-    honest = net.honest_indices()
-    malicious = net.malicious_indices()
-    if len(honest) and len(malicious):
-        kappa = collusion_score(float(true_taus[honest].mean()), float(true_taus[malicious].mean()), kappa_max)
-    else:
-        kappa = 0.0
+    kappa = network_kappa(net, true_taus, kappa_max)
 
     state = np.array(
         [
@@ -201,17 +214,12 @@ class History:
     """Sliding operational window feeding the rate features."""
 
     def __init__(self, window: int = HISTORY_WINDOW):
-        self.window = window
         self.blocks: deque = deque(maxlen=window)
         self.verified: deque = deque(maxlen=window)
-        self.last_verified = 0
-        self.last_delegate_count = 0
 
-    def push(self, block_created: bool, verified: int, delegate_count: int) -> None:
+    def push(self, block_created: bool, verified: int) -> None:
         self.blocks.append(1 if block_created else 0)
         self.verified.append(verified)
-        self.last_verified = verified
-        self.last_delegate_count = delegate_count
 
 
 @dataclass
@@ -256,7 +264,6 @@ class Environment:
         self.pending_corruption: dict = {}
         self.kappas: list[float] = []
         self.rewards: list[float] = []
-        self.step_f1: list[float] = []
 
     def begin_episode(self, episode_index: int) -> None:
         self.net.episode_index = episode_index
@@ -265,7 +272,6 @@ class Environment:
         self.pending_corruption = {}
         self.kappas = []
         self.rewards = []
-        self.step_f1 = []
 
     def observe(self) -> np.ndarray:
         return extract_state(
@@ -286,7 +292,6 @@ class Environment:
 
         policy = DelegationPolicy(ratio=net.delegation_ratio, node_count=net.n)
         k = min(policy.committee_size, len(accepted))
-        net.pending_tx = self.cfg.batch_size
         outcome = None
         if k > 0:
             delegates = sample_top_k(net.alphas, net.betas, k, self.rng_consensus, candidates=accepted)
@@ -307,7 +312,7 @@ class Environment:
         if self.attack is not None:
             effects = self.attack.step(net, self.rng_attack)
             apply_perturbations(
-                net, effects.perturbations, accepted=set(int(i) for i in accepted), evidence_log=self.evidence_log
+                net, effects.perturbations, accepted=set(accepted.tolist()), evidence_log=self.evidence_log
             )
             self.pending_conflicting = effects.conflicting
             self.pending_corruption = effects.corruption
@@ -316,22 +321,11 @@ class Environment:
 
         block = outcome.block_created if outcome else False
         verified = outcome.verified_tx if outcome else 0
-        if block:
-            net.pending_tx = 0
-        self.history.push(block, verified, k)
+        self.history.push(block, verified)
 
         true_taus = net.trust_scores()
         cm = metrics.classify(true_taus, net.malicious_mask, self.cfg.theta)
-        honest = net.honest_indices()
-        malicious = net.malicious_indices()
-        if len(honest) and len(malicious):
-            kappa = collusion_score(
-                float(true_taus[honest].mean()),
-                float(true_taus[malicious].mean()),
-                self.reward_cfg.kappa_max,
-            )
-        else:
-            kappa = 0.0
+        kappa = network_kappa(net, true_taus, self.reward_cfg.kappa_max)
         r_step = 10.0 * (verified / self.cfg.batch_size) + 50.0 * (1.0 if block else 0.0)
         reward = compute_reward(cm, r_step, kappa, self.reward_cfg)
         if not np.isfinite(reward):
@@ -339,7 +333,6 @@ class Environment:
 
         self.kappas.append(kappa)
         self.rewards.append(reward)
-        self.step_f1.append(metrics.f1(cm))
         net.step_index += 1
         return reward, {"confusion": cm, "kappa": kappa, "block": block, "verified": verified}
 
@@ -386,7 +379,6 @@ def run_episode(
         throughput=net.verified_tx_total,
         chain_length=net.chain_length,
         mean_kappa=float(np.mean(env.kappas)) if env.kappas else 0.0,
-        trust_separation=trust_separation(net) if 0 < len(net.malicious_indices()) < net.n else 0.0,
+        trust_separation=trust_separation(net),
         delegation_ratio=net.delegation_ratio,
-        step_f1=list(env.step_f1),
     )

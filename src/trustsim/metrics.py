@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,20 +33,12 @@ def classify(trusts, roles_malicious, theta: float) -> ConfusionMatrix:
     """
     if len(trusts) != len(roles_malicious):
         raise ValueError("trusts and roles must have the same length")
-    tp = fp = fn = tn = 0
-    for tau, is_mal in zip(trusts, roles_malicious):
-        predicted_mal = tau < theta
-        if is_mal:
-            if predicted_mal:
-                tp += 1
-            else:
-                fn += 1
-        else:
-            if predicted_mal:
-                fp += 1
-            else:
-                tn += 1
-    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=tn)
+    predicted = np.asarray(trusts) < theta
+    malicious = np.asarray(roles_malicious, dtype=bool)
+    tp = int(np.count_nonzero(predicted & malicious))
+    fp = int(np.count_nonzero(predicted)) - tp
+    fn = int(np.count_nonzero(malicious)) - tp
+    return ConfusionMatrix(tp=tp, fp=fp, fn=fn, tn=len(predicted) - tp - fp - fn)
 
 
 def precision(cm: ConfusionMatrix) -> float:
@@ -80,7 +72,6 @@ class EpisodeRecord:
     mean_kappa: float
     trust_separation: float
     delegation_ratio: float
-    step_f1: list = field(default_factory=list, repr=False)
 
 
 # episodes.csv schema; order is part of the external contract

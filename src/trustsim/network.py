@@ -24,13 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .trust import (
-    EvidenceKind,
-    TrustProfile,
-    TrustUpdateConfig,
-    apply_evidence,
-    round_half_up,
-)
+from .trust import EvidenceKind, TrustUpdateConfig, round_half_up
 
 
 class Vote(enum.Enum):
@@ -39,50 +33,49 @@ class Vote(enum.Enum):
     CONFLICTING = "conflicting"
 
 
-@dataclass(frozen=True)
-class NodeRole:
-    malicious: bool
-    attack_family: str | None = None
-
-
 @dataclass
 class NetworkState:
+    """Trust masses per node plus chain counters.
+
+    Roles are fixed for the run: ``malicious_mask`` is read-only, and the
+    ``honest`` and ``malicious`` index arrays are derived from it once.
+    """
+
     alphas: np.ndarray
     betas: np.ndarray
-    roles: list[NodeRole]
+    malicious_mask: np.ndarray
     delegation_ratio: float = 0.5
-    pending_tx: int = 0
     chain_length: int = 0
     verified_tx_total: int = 0
     step_index: int = 0
     episode_index: int = 0
+    honest: np.ndarray = field(init=False, repr=False)
+    malicious: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        mask = np.array(self.malicious_mask, dtype=bool)
+        if mask.shape != np.shape(self.alphas):
+            raise ValueError("malicious_mask must hold one flag per node")
+        self.honest = np.flatnonzero(~mask)
+        self.malicious = np.flatnonzero(mask)
+        for fixed in (mask, self.honest, self.malicious):
+            fixed.setflags(write=False)
+        self.malicious_mask = mask
 
     @property
     def n(self) -> int:
-        return len(self.roles)
-
-    @property
-    def malicious_mask(self) -> np.ndarray:
-        return np.array([r.malicious for r in self.roles], dtype=bool)
+        return len(self.malicious_mask)
 
     def trust_scores(self) -> np.ndarray:
         return self.alphas / (self.alphas + self.betas)
-
-    def profiles(self) -> list[TrustProfile]:
-        return [TrustProfile(float(a), float(b)) for a, b in zip(self.alphas, self.betas)]
-
-    def honest_indices(self) -> np.ndarray:
-        return np.flatnonzero(~self.malicious_mask)
-
-    def malicious_indices(self) -> np.ndarray:
-        return np.flatnonzero(self.malicious_mask)
 
 
 @dataclass
 class RoundOutcome:
     block_created: bool
     verified_tx: int
-    delegate_votes: dict = field(default_factory=dict)
+    delegates: np.ndarray
+    valid_votes: np.ndarray  # per delegate, in the order of ``delegates``
 
 
 PRIOR_ALPHA = 8.0
@@ -99,24 +92,17 @@ def draw_profiles(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndar
     return alphas, betas
 
 
-def init_network(
-    n: int,
-    malicious_ratio: float,
-    rng: np.random.Generator,
-    attack_family: str | None = None,
-) -> NetworkState:
+def init_network(n: int, malicious_ratio: float, rng: np.random.Generator) -> NetworkState:
     if n < 2:
         raise ValueError(f"network needs at least 2 nodes, got {n}")
     if not (0.0 <= malicious_ratio <= 1.0):
         raise ValueError("malicious_ratio must lie in [0, 1]")
     alphas, betas = draw_profiles(n, rng)
     n_mal = round_half_up(malicious_ratio * n)
-    mal_idx = set(int(i) for i in rng.choice(n, size=n_mal, replace=False)) if n_mal else set()
-    roles = [
-        NodeRole(malicious=i in mal_idx, attack_family=attack_family if i in mal_idx else None)
-        for i in range(n)
-    ]
-    return NetworkState(alphas=alphas, betas=betas, roles=roles)
+    mask = np.zeros(n, dtype=bool)
+    if n_mal:
+        mask[rng.choice(n, size=n_mal, replace=False)] = True
+    return NetworkState(alphas=alphas, betas=betas, malicious_mask=mask)
 
 
 def reset_profiles(state: NetworkState, rng: np.random.Generator) -> None:
@@ -127,7 +113,6 @@ def reset_profiles(state: NetworkState, rng: np.random.Generator) -> None:
     converged agent enters each episode at its preferred committee size.
     """
     state.alphas, state.betas = draw_profiles(state.n, rng)
-    state.pending_tx = 0
     state.chain_length = 0
     state.verified_tx_total = 0
     state.step_index = 0
@@ -136,18 +121,6 @@ def reset_profiles(state: NetworkState, rng: np.random.Generator) -> None:
 def quorum(n_delegates: int) -> int:
     """Votes required for a block: ceil(2/3 * committee size)."""
     return (2 * n_delegates + 2) // 3
-
-
-def apply_node_evidence(
-    state: NetworkState, node: int, kind: EvidenceKind, cfg: TrustUpdateConfig, log=None, source="consensus"
-) -> None:
-    updated = apply_evidence(
-        TrustProfile(float(state.alphas[node]), float(state.betas[node])), kind, cfg
-    )
-    state.alphas[node] = updated.alpha
-    state.betas[node] = updated.beta
-    if log is not None:
-        log.append((state.episode_index, state.step_index, source, node, kind.value))
 
 
 def run_consensus_round(
@@ -161,50 +134,55 @@ def run_consensus_round(
     batch_size: int = 10,
     evidence_log=None,
 ) -> RoundOutcome:
-    """Run one voting round over the current transaction batch and apply evidence."""
-    delegates = sorted(int(d) for d in delegates)
-    if not delegates:
+    """Run one voting round over the current transaction batch and apply evidence.
+
+    Each delegate draws at most one piece of evidence, so the array updates
+    below equal ``apply_evidence`` node by node.  The caught-or-not draws
+    are taken in sorted delegate order, one per non-Valid voter.
+    """
+    delegates = np.sort(np.asarray(delegates, dtype=np.int64))
+    if len(delegates) == 0:
         raise ValueError("delegate set must be nonempty")
-    if max(delegates) >= state.n:
+    if delegates[0] < 0 or delegates[-1] >= state.n:
         raise ValueError("delegate index out of range")
+    if np.any(delegates[1:] == delegates[:-1]):
+        raise ValueError("delegates must be distinct")
 
-    vote_overrides = vote_overrides or {}
-    conflicting = conflicting or set()
-
-    votes: dict[int, Vote] = {}
-    for d in delegates:
-        if not state.roles[d].malicious:
-            votes[d] = Vote.VALID
-        elif d in conflicting:
-            votes[d] = Vote.CONFLICTING
-        else:
-            votes[d] = vote_overrides.get(d, Vote.INVALID)
-
-    n_valid = sum(1 for v in votes.values() if v is Vote.VALID)
-    block = n_valid >= quorum(len(delegates))
+    # Honest nodes vote Valid.  A malicious node does only when the attack
+    # overrides its vote to Valid and it is not equivocating; otherwise it
+    # votes Conflicting or Invalid, which draw the same evidence.
+    valid = ~state.malicious_mask
+    if vote_overrides:
+        conflicting = conflicting or set()
+        valid[[d for d, v in vote_overrides.items() if v is Vote.VALID and d not in conflicting]] = True
+    valid = valid[delegates]
+    block = int(np.count_nonzero(valid)) >= quorum(len(delegates))
     verified = batch_size if block else 0
 
-    for d in delegates:
-        v = votes[d]
-        if v is Vote.VALID:
-            if block:
-                apply_node_evidence(state, d, EvidenceKind.VALID, update_cfg, evidence_log)
-        else:
-            caught = rng.random() < detect_p
-            kind = EvidenceKind.MALICIOUS if caught else EvidenceKind.INVALID
-            apply_node_evidence(state, d, kind, update_cfg, evidence_log)
+    if block:
+        state.alphas[delegates[valid]] += update_cfg.delta_valid
+    suspects = delegates[~valid]
+    caught = rng.random(len(suspects)) < detect_p
+    state.alphas[suspects[caught]] *= update_cfg.decay_gamma
+    state.betas[suspects] += np.where(caught, update_cfg.delta_malicious, update_cfg.delta_invalid)
+
+    if evidence_log is not None:
+        suspect_kinds = iter(np.where(caught, EvidenceKind.MALICIOUS.value, EvidenceKind.INVALID.value).tolist())
+        for node, is_valid in zip(delegates.tolist(), valid.tolist()):
+            if is_valid and not block:
+                continue
+            kind = EvidenceKind.VALID.value if is_valid else next(suspect_kinds)
+            evidence_log.append((state.episode_index, state.step_index, "consensus", node, kind))
 
     if block:
         state.chain_length += 1
         state.verified_tx_total += verified
-    return RoundOutcome(block_created=block, verified_tx=verified, delegate_votes=votes)
+    return RoundOutcome(block_created=block, verified_tx=verified, delegates=delegates, valid_votes=valid)
 
 
 def trust_separation(state: NetworkState) -> float:
-    """Mean honest trust minus mean malicious trust (signed)."""
-    honest = state.honest_indices()
-    malicious = state.malicious_indices()
-    if len(honest) == 0 or len(malicious) == 0:
-        raise ValueError("trust separation needs at least one node of each role")
+    """Mean honest trust minus mean malicious trust (signed); 0.0 when a role is empty."""
+    if len(state.honest) == 0 or len(state.malicious) == 0:
+        return 0.0
     taus = state.trust_scores()
-    return float(taus[honest].mean() - taus[malicious].mean())
+    return float(taus[state.honest].mean() - taus[state.malicious].mean())

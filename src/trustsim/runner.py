@@ -41,9 +41,8 @@ def build_simulation(cfg: ExperimentConfig):
         np.random.default_rng(child) for child in seq.spawn(5)
     )
 
-    family = None if cfg.attack == "none" else cfg.attack
-    net = init_network(cfg.n_nodes, cfg.malicious_ratio, rng_init, attack_family=family)
-    attack = Attack(cfg.attack_cfg) if family else None
+    net = init_network(cfg.n_nodes, cfg.malicious_ratio, rng_init)
+    attack = None if cfg.attack == "none" else Attack(cfg.attack_cfg)
 
     policy = load_policy(cfg.policy_file) if cfg.policy_file else None
     gate = PolicyGate(policy=policy, mode=cfg.gate_mode)

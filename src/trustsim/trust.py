@@ -112,24 +112,9 @@ def sample_top_k(
     """Indices of the k largest Beta draws, optionally restricted to candidates."""
     if candidates is None:
         candidates = np.arange(len(alphas))
+    if len(candidates) == 0:
+        raise ValueError("candidates must be nonempty")
     samples = sample_beta(alphas[candidates], betas[candidates], rng)
     # argsort on negated samples: descending, with stable index order on ties
     order = np.argsort(-samples, kind="stable")[:k]
     return np.sort(candidates[order])
-
-
-def select_delegates(
-    profiles: list[TrustProfile], policy: DelegationPolicy, rng: np.random.Generator
-) -> set[int]:
-    """Thompson-sampling committee selection.
-
-    Draws one Beta sample per node and returns the indices holding the k
-    largest samples, k = max(1, round(ratio * N)).  Fresh samples are drawn
-    on every call.
-    """
-    if not profiles:
-        raise ValueError("profiles must be nonempty")
-    alphas = np.array([p.alpha for p in profiles])
-    betas = np.array([p.beta for p in profiles])
-    k = min(policy.committee_size, len(profiles))
-    return set(int(i) for i in sample_top_k(alphas, betas, k, rng))

@@ -8,10 +8,12 @@ from trustsim.abac import (
     And,
     AttributeSet,
     Leaf,
+    NODE_ATTRIBUTES,
     Or,
     PolicyGate,
     ROLE_VALIDATOR,
     SimulatedFheBackend,
+    compile_policy,
     encrypt_attributes,
     eval_policy_encrypted,
     eval_policy_plain,
@@ -135,6 +137,9 @@ def test_encrypted_path_parity_with_plaintext_oracle(policy, trust, role, cleara
     ct = encrypt_attributes(attrs, backend)
     decision = backend.decrypt_decision(eval_policy_encrypted(policy, ct, backend))
     assert decision == expected
+    row = np.array([[attrs.values[name] for name in NODE_ATTRIBUTES]], dtype=np.int64)
+    compiled = compile_policy(policy, tuple(NODE_ATTRIBUTES))(row)
+    assert compiled.shape == (1,) and bool(compiled[0]) == expected
 
 
 def test_quantize_trust_floor_matches_threshold_boundary():
@@ -149,6 +154,12 @@ def test_gate_modes_agree():
     enc = PolicyGate(mode="encrypted")
     trusts = np.linspace(0.05, 0.95, 16)
     assert np.array_equal(plain.accepted(trusts), enc.accepted(trusts))
+
+
+def test_gate_rejects_unknown_attribute_when_built():
+    for mode in ("plain", "encrypted"):
+        with pytest.raises(AbacError):
+            PolicyGate(parse_policy("(trust >= 45) & (tier == 1)"), mode=mode)
 
 
 def test_gate_rejects_below_threshold():

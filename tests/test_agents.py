@@ -287,6 +287,19 @@ def test_network_parameters_are_views_into_flat():
     assert np.array_equal(other.forward(s), net.forward(s))
 
 
+def test_clone_copies_flat_without_gradient_buffer():
+    net, states, actions, targets = kink_free_fixture()
+    twin = net.clone()
+    assert np.array_equal(twin.flat, net.flat) and not np.shares_memory(twin.flat, net.flat)
+    assert all(np.shares_memory(w, twin.flat) for w in twin.trunk_w + [twin.vw0, twin.ab1])
+    assert twin.grad is None and twin.layout == net.layout
+    assert np.array_equal(twin.forward(states), net.forward(states))
+    twin.flat += 1.0  # the clone's parameters are its own
+    assert not np.array_equal(twin.flat, net.flat)
+    # the online network still differentiates correctly after being cloned
+    assert finite_difference_check(net, states, actions, targets) < 1e-4
+
+
 def test_train_step_skips_until_buffer_fills():
     hp = AgentHyperparams(batch_size=8)
     net, tgt = tiny_net(1), tiny_net(2)

@@ -15,11 +15,11 @@ from trustsim.attacks import (
     nma_step,
     tdp_step,
 )
-from trustsim.network import init_network
+from trustsim.network import NetworkState, init_network
 
 
-def make_net(seed=42, family="nma", n=16, ratio=0.30):
-    return init_network(n, ratio, np.random.default_rng(seed), attack_family=family)
+def make_net(seed=42, n=16, ratio=0.30):
+    return init_network(n, ratio, np.random.default_rng(seed))
 
 
 # --- NMA ----------------------------------------------------------------
@@ -34,7 +34,7 @@ def test_nma_zero_probability_emits_nothing():
 def test_nma_targets_are_honest():
     cfg = AttackConfig(family="nma")
     net = make_net()
-    honest = set(int(i) for i in net.honest_indices())
+    honest = set(int(i) for i in net.honest)
     rng = np.random.default_rng(1)
     for _ in range(200):
         for p in nma_step(cfg, new_state(cfg), net, rng):
@@ -56,14 +56,14 @@ def test_nma_binomial_mean_monte_carlo():
 
 def test_cra_off_cycle_is_empty():
     cfg = AttackConfig(family="cra")
-    net = make_net(family="cra")
+    net = make_net()
     net.step_index = 3
     assert cra_step(cfg, new_state(cfg), net, np.random.default_rng(0)) == []
 
 
 def test_cra_magnitudes_forced_by_parameters():
     cfg = AttackConfig(family="cra")
-    net = make_net(family="cra")
+    net = make_net()
     net.step_index = 0
     perts = cra_step(cfg, new_state(cfg), net, np.random.default_rng(0))
     boosts = [p for p in perts if p.kind is PerturbationKind.BOOST_ALPHA]
@@ -76,7 +76,7 @@ def test_cra_magnitudes_forced_by_parameters():
 
 def test_cra_periodicity_property():
     cfg = AttackConfig(family="cra", cra_period=2)
-    net = make_net(family="cra")
+    net = make_net()
     rng = np.random.default_rng(0)
     for step in range(20):
         net.step_index = step
@@ -86,14 +86,24 @@ def test_cra_periodicity_property():
 
 def test_cra_targets_top_honest():
     cfg = AttackConfig(family="cra")
-    net = make_net(family="cra")
+    net = make_net()
     net.step_index = 0
     taus = net.trust_scores()
-    honest = net.honest_indices()
+    honest = net.honest
     expected = sorted(honest, key=lambda i: (-taus[i], i))[:3]
     penalties = [p.target for p in cra_step(cfg, new_state(cfg), net, np.random.default_rng(0))
                  if p.kind is PerturbationKind.PENALIZE_BETA]
     assert penalties == [int(i) for i in expected]
+
+
+def test_cra_top_honest_ties_break_on_index():
+    mask = np.array([True, False, False, True, False, False, False, False])
+    alphas = np.array([9.0, 5.0, 7.0, 9.0, 7.0, 5.0, 7.0, 3.0])
+    net = NetworkState(alphas=alphas, betas=np.full(8, 5.0), malicious_mask=mask)
+    cfg = AttackConfig(family="cra", cra_target_fraction=0.5)
+    penalties = [p.target for p in cra_step(cfg, new_state(cfg), net, np.random.default_rng(0))
+                 if p.kind is PerturbationKind.PENALIZE_BETA]
+    assert penalties == [2, 4, 6]  # three honest nodes tie on top trust; the malicious 0 and 3 are skipped
 
 
 # --- AAA ----------------------------------------------------------------
@@ -102,7 +112,7 @@ def test_cra_targets_top_honest():
 def test_aaa_epsilon_decay_after_ten_selections():
     cfg = AttackConfig(family="aaa")
     state = new_state(cfg)
-    net = make_net(family="aaa")
+    net = make_net()
     rng = np.random.default_rng(2)
     for step in range(10):
         net.step_index = step
@@ -115,7 +125,7 @@ def test_aaa_exploits_argmax_when_greedy():
     state = new_state(cfg)
     state.aaa_eps = 0.0
     state.aaa_scores = np.array([0.5, 0.9, 0.1, 0.2, 0.3])
-    net = make_net(family="aaa")
+    net = make_net()
     _, state = aaa_step(cfg, state, net, np.random.default_rng(0))
     assert state.aaa_prev_strategy == 1
 
@@ -125,7 +135,7 @@ def test_aaa_slow_poison_magnitudes_bounded_by_factor():
     state = new_state(cfg)
     state.aaa_eps = 0.0
     state.aaa_scores = np.array([0.0, 1.0, 0.0, 0.0, 0.0])  # slow_poisoning
-    net = make_net(family="aaa")
+    net = make_net()
     perts, _ = aaa_step(cfg, state, net, np.random.default_rng(0))
     assert perts
     assert all(p.magnitude <= 0.12 + 1e-12 for p in perts)
@@ -135,7 +145,7 @@ def test_aaa_slow_poison_magnitudes_bounded_by_factor():
 def test_aaa_epsilon_never_increases():
     cfg = AttackConfig(family="aaa")
     state = new_state(cfg)
-    net = make_net(family="aaa")
+    net = make_net()
     rng = np.random.default_rng(3)
     prev = state.aaa_eps
     for step in range(50):
@@ -149,11 +159,11 @@ def test_aaa_tracks_success_of_previous_strategy():
     cfg = AttackConfig(family="aaa")
     state = new_state(cfg)
     state.aaa_eps = 0.0
-    net = make_net(family="aaa")
+    net = make_net()
     _, state = aaa_step(cfg, state, net, np.random.default_rng(0))
     chosen = state.aaa_prev_strategy
     # raise malicious trust by hand; the next step credits the strategy
-    net.alphas[net.malicious_indices()] += 50.0
+    net.alphas[net.malicious] += 50.0
     _, state = aaa_step(cfg, state, net, np.random.default_rng(1))
     assert state.aaa_scores[chosen] > 0.0
 
@@ -168,7 +178,7 @@ def test_bfi_sybil_amplification_factor():
 
 def test_bfi_coordinated_strike_on_window():
     cfg = AttackConfig(family="bfi")
-    net = make_net(family="bfi")
+    net = make_net()
     net.step_index = 12
     state = new_state(cfg)
     perts, _ = bfi_step(cfg, state, net, np.random.default_rng(0))
@@ -179,7 +189,7 @@ def test_bfi_coordinated_strike_on_window():
 
 def test_bfi_no_strike_off_window():
     cfg = AttackConfig(family="bfi")
-    net = make_net(family="bfi")
+    net = make_net()
     net.step_index = 7
     perts, _ = bfi_step(cfg, new_state(cfg), net, np.random.default_rng(0))
     assert not [p for p in perts if p.kind is PerturbationKind.PENALIZE_BETA]
@@ -187,8 +197,8 @@ def test_bfi_no_strike_off_window():
 
 def test_bfi_recovery_phase_suppresses_equivocation():
     cfg = AttackConfig(family="bfi")
-    net = make_net(family="bfi")
-    byz = net.malicious_indices()
+    net = make_net()
+    byz = net.malicious
     net.alphas[byz] = 3.5
     net.betas[byz] = 6.5  # mean trust 0.35 < 0.4
     state = new_state(cfg)
@@ -206,8 +216,8 @@ def test_bfi_recovery_phase_suppresses_equivocation():
 
 def test_bfi_phase_thresholds():
     cfg = AttackConfig(family="bfi")
-    net = make_net(family="bfi")
-    byz = net.malicious_indices()
+    net = make_net()
+    byz = net.malicious
     state = new_state(cfg)
     net.alphas[byz], net.betas[byz] = 7.0, 3.0  # 0.7 > 0.6
     _, state = bfi_step(cfg, state, net, np.random.default_rng(0))
@@ -219,7 +229,7 @@ def test_bfi_phase_thresholds():
 
 def test_bfi_eclipse_target_is_standing_and_corrupts_observation():
     cfg = AttackConfig(family="bfi")
-    net = make_net(family="bfi")
+    net = make_net()
     state = new_state(cfg)
     rng = np.random.default_rng(0)
     targets = set()
@@ -231,7 +241,7 @@ def test_bfi_eclipse_target_is_standing_and_corrupts_observation():
         assert corrupt[0].feature_mask is not None
         targets.add(corrupt[0].target)
     assert len(targets) == 1
-    assert not net.roles[targets.pop()].malicious
+    assert not net.malicious_mask[targets.pop()]
 
 
 # --- TDP ----------------------------------------------------------------
@@ -239,7 +249,7 @@ def test_bfi_eclipse_target_is_standing_and_corrupts_observation():
 
 def test_tdp_dormant_emits_nothing():
     cfg = AttackConfig(family="tdp")
-    net = make_net(family="tdp")
+    net = make_net()
     net.episode_index = 24
     state = new_state(cfg)
     perts, state = tdp_step(cfg, state, net, np.random.default_rng(0))
@@ -249,7 +259,7 @@ def test_tdp_dormant_emits_nothing():
 
 def test_tdp_activates_at_episode_25_with_four_targets():
     cfg = AttackConfig(family="tdp")
-    net = make_net(family="tdp")
+    net = make_net()
     net.episode_index = 25
     state = new_state(cfg)
     perts, state = tdp_step(cfg, state, net, np.random.default_rng(0))
@@ -261,7 +271,7 @@ def test_tdp_activates_at_episode_25_with_four_targets():
 
 def test_tdp_activation_is_monotone():
     cfg = AttackConfig(family="tdp")
-    net = make_net(family="tdp")
+    net = make_net()
     state = new_state(cfg)
     net.episode_index = 30
     _, state = tdp_step(cfg, state, net, np.random.default_rng(0))
@@ -274,11 +284,11 @@ def test_tdp_activation_is_monotone():
 
 def test_tdp_sleeper_boosts_are_mutual():
     cfg = AttackConfig(family="tdp")
-    net = make_net(family="tdp")
+    net = make_net()
     net.episode_index = 25
     perts, _ = tdp_step(cfg, new_state(cfg), net, np.random.default_rng(0))
     boosts = [p for p in perts if p.kind is PerturbationKind.BOOST_ALPHA]
-    sleepers = set(int(i) for i in net.malicious_indices())
+    sleepers = set(int(i) for i in net.malicious)
     assert {p.target for p in boosts} == sleepers
     for p in boosts:
         assert p.emitters is not None
@@ -326,7 +336,7 @@ def test_behavioral_perturbations_ignore_gate():
 def test_attack_driver_routes_channels():
     cfg = AttackConfig(family="bfi")
     attack = Attack(cfg)
-    net = make_net(family="bfi")
+    net = make_net()
     net.step_index = 0
     effects = attack.step(net, np.random.default_rng(0))
     assert isinstance(effects.conflicting, set)

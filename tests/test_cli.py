@@ -226,6 +226,33 @@ def test_cli_rejects_bad_agent(capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--set", "experiment.malicious_ratio=1.5"],
+        ["--set", "agent_hyperparams.batch_size=abc"],
+        ["--matrix", "--seeds", "4x"],
+    ],
+    ids=["ratio-out-of-range", "int-parse", "matrix-seeds"],
+)
+def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    assert main(argv + ["--episodes", "1", "--steps", "5", "--out", str(tmp_path / "o")]) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: ")
+    assert "Traceback" not in captured.err
+    assert not (tmp_path / "o").exists()
+
+
+def test_config_rejects_out_of_range_population():
+    with pytest.raises(ConfigError):
+        ExperimentConfig(malicious_ratio=-0.1)
+    with pytest.raises(ConfigError):
+        ExperimentConfig(n_nodes=1)
+    with pytest.raises(ConfigError):
+        apply_override(ExperimentConfig(), "trust.decay_gamma=1.5")
+
+
 def test_cli_set_override(tmp_path):
     code = main(
         ["--agent", "rl", "--attack", "nma", "--episodes", "1", "--steps", "10",

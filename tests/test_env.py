@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustsim.config import ExperimentConfig
@@ -15,15 +15,16 @@ from trustsim.env import (
     compute_reward,
     extract_state,
 )
+from trustsim.env import _linear_quantile
 from trustsim.metrics import ConfusionMatrix
-from trustsim.network import init_network
+from trustsim.network import NetworkState, init_network
 from trustsim.runner import simulate
 
 RW = RewardConfig()
 
 
 def degenerate_net(tau=0.5):
-    net = init_network(16, 0.30, np.random.default_rng(0), attack_family="nma")
+    net = init_network(16, 0.30, np.random.default_rng(0))
     net.alphas = np.full(16, 8.0)
     net.betas = np.full(16, 8.0 * (1 - tau) / tau)
     return net
@@ -45,7 +46,7 @@ def test_state_collusion_score_examples():
 
 def test_state_order_statistics_sanity():
     rng = np.random.default_rng(4)
-    net = init_network(16, 0.30, rng, attack_family="nma")
+    net = init_network(16, 0.30, rng)
     net.alphas = rng.uniform(1, 30, 16)
     net.betas = rng.uniform(1, 30, 16)
     s = extract_state(net, History())
@@ -53,6 +54,30 @@ def test_state_order_statistics_sanity():
     assert taus.min() <= s[FEATURE_INDEX["median"]] <= taus.max()
     assert s[FEATURE_INDEX["iqr"]] <= s[FEATURE_INDEX["range"]] + 1e-12
     assert np.all(np.isfinite(s))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    n=st.sampled_from([2, 3, 16, 17]),
+    seed=st.integers(0, 2**32 - 1),
+    ties=st.booleans(),
+)
+def test_state_order_statistics_match_numpy_bit_for_bit(n, seed, ties):
+    rng = np.random.default_rng(seed)
+    alphas = rng.uniform(0.5, 40.0, n)
+    betas = rng.uniform(0.5, 40.0, n)
+    if ties:  # repeated trust values
+        alphas[: n // 2] = alphas[0]
+        betas[: n // 2] = betas[0]
+    net = NetworkState(alphas=alphas, betas=betas, malicious_mask=np.arange(n) % 2 == 0)
+    s = extract_state(net, History())
+    taus = net.trust_scores()
+    q25, q75 = np.percentile(taus, [25.0, 75.0], method="linear")
+    assert s[FEATURE_INDEX["median"]] == np.median(taus)
+    assert s[FEATURE_INDEX["iqr"]] == q75 - q25
+    assert s[FEATURE_INDEX["range"]] == taus.max() - taus.min()
+    ordered = np.sort(taus).tolist()
+    assert _linear_quantile(ordered, 0.25) == q25 and _linear_quantile(ordered, 0.75) == q75
 
 
 def test_state_eclipse_corruption_changes_observation_only():

@@ -94,6 +94,25 @@ def test_matrix_totals():
     assert cm.fp + cm.tn == 16 - sum(roles)
 
 
+@given(
+    st.lists(
+        st.tuples(st.sampled_from([0.0, 0.2, 0.45, 0.4499999, 0.7, 1.0]) | st.floats(0.0, 1.0), st.booleans()),
+        max_size=40,
+    ),
+    st.floats(0.0, 1.0),
+)
+def test_classify_matches_explicit_loop(nodes, theta):
+    trusts = np.array([tau for tau, _ in nodes], dtype=float)
+    roles = np.array([mal for _, mal in nodes], dtype=bool)
+    counts = {"tp": 0, "fp": 0, "fn": 0, "tn": 0}
+    for tau, is_mal in nodes:
+        predicted_mal = tau < theta
+        counts[("t" if predicted_mal == is_mal else "f") + ("p" if predicted_mal else "n")] += 1
+    cm = classify(trusts, roles, theta)
+    assert (cm.tp, cm.fp, cm.fn, cm.tn) == (counts["tp"], counts["fp"], counts["fn"], counts["tn"])
+    assert all(type(c) is int for c in (cm.tp, cm.fp, cm.fn, cm.tn))
+
+
 def rec(ep, f1_value):
     return EpisodeRecord(
         episode=ep,

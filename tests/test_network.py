@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trustsim.network import (
+    NetworkState,
     Vote,
     init_network,
     quorum,
@@ -9,18 +10,40 @@ from trustsim.network import (
     run_consensus_round,
     trust_separation,
 )
-from trustsim.trust import TrustUpdateConfig
+from trustsim.trust import EvidenceKind, TrustProfile, TrustUpdateConfig, apply_evidence
 
 CFG = TrustUpdateConfig()
 
 
-def make_net(n=16, ratio=0.30, seed=42, family="nma"):
-    return init_network(n, ratio, np.random.default_rng(seed), attack_family=family)
+def make_net(n=16, ratio=0.30, seed=42):
+    return init_network(n, ratio, np.random.default_rng(seed))
+
+
+def net_with_malicious(n, *malicious, seed=42):
+    """An n-node network whose malicious nodes are exactly ``malicious``."""
+    base = make_net(n, 0.0, seed)
+    mask = np.zeros(n, dtype=bool)
+    mask[list(malicious)] = True
+    return NetworkState(alphas=base.alphas, betas=base.betas, malicious_mask=mask)
 
 
 def test_init_malicious_count_default_configuration():
     net = make_net(16, 0.30, seed=42)
     assert int(net.malicious_mask.sum()) == 5
+
+
+def test_role_layout_is_fixed_and_read_only():
+    mask = np.array([False, True, False, True])
+    net = NetworkState(alphas=np.full(4, 8.0), betas=np.full(4, 8.0), malicious_mask=mask)
+    assert net.honest.tolist() == [0, 2] and net.malicious.tolist() == [1, 3]
+    assert net.honest.dtype == np.int64 and net.malicious.dtype == np.int64
+    mask[0] = True  # the state holds its own copy
+    assert not net.malicious_mask[0]
+    for fixed in (net.malicious_mask, net.honest, net.malicious):
+        with pytest.raises(ValueError):
+            fixed[0] = 1
+    with pytest.raises(ValueError):
+        NetworkState(alphas=np.full(4, 8.0), betas=np.full(4, 8.0), malicious_mask=mask[:3])
 
 
 def test_init_zero_ratio():
@@ -61,19 +84,14 @@ def test_round_all_honest_creates_block():
 
 
 def test_round_three_of_five_valid_fails():
-    net = make_net(16, 0.0)
-    # mark two delegates malicious by hand: they vote invalid
-    net.roles[3] = type(net.roles[3])(malicious=True, attack_family="nma")
-    net.roles[4] = type(net.roles[4])(malicious=True, attack_family="nma")
+    net = net_with_malicious(16, 3, 4)  # two malicious delegates vote invalid
     out = run_consensus_round(net, range(5), np.random.default_rng(0), CFG)
     assert not out.block_created
     assert out.verified_tx == 0
 
 
 def test_round_boundary_four_of_six_succeeds():
-    net = make_net(16, 0.0)
-    net.roles[0] = type(net.roles[0])(malicious=True, attack_family="nma")
-    net.roles[1] = type(net.roles[1])(malicious=True, attack_family="nma")
+    net = net_with_malicious(16, 0, 1)
     out = run_consensus_round(net, range(6), np.random.default_rng(0), CFG)
     assert out.block_created
 
@@ -92,8 +110,7 @@ def test_round_applies_valid_evidence_on_success():
 
 
 def test_round_penalizes_invalid_voters():
-    net = make_net(16, 0.0)
-    net.roles[0] = type(net.roles[0])(malicious=True, attack_family="nma")
+    net = net_with_malicious(16, 0)
     b0 = net.betas[0]
     a0 = net.alphas[0]
     run_consensus_round(net, range(16), np.random.default_rng(0), CFG, detect_p=0.0)
@@ -102,8 +119,7 @@ def test_round_penalizes_invalid_voters():
 
 
 def test_round_detected_misbehavior_draws_malicious_evidence():
-    net = make_net(16, 0.0)
-    net.roles[0] = type(net.roles[0])(malicious=True, attack_family="nma")
+    net = net_with_malicious(16, 0)
     a0 = net.alphas[0]
     b0 = net.betas[0]
     run_consensus_round(net, range(16), np.random.default_rng(0), CFG, detect_p=1.0)
@@ -112,13 +128,74 @@ def test_round_detected_misbehavior_draws_malicious_evidence():
 
 
 def test_conflicting_votes_counted_not_valid():
-    net = make_net(16, 0.0)
-    net.roles[0] = type(net.roles[0])(malicious=True, attack_family="bfi")
+    net = net_with_malicious(16, 0)
     out = run_consensus_round(
         net, range(16), np.random.default_rng(0), CFG, conflicting={0}
     )
-    assert out.delegate_votes[0] is Vote.CONFLICTING
+    assert out.delegates.tolist() == list(range(16))
+    assert not out.valid_votes[0] and out.valid_votes[1:].all()
     assert out.block_created  # 15 of 16 >= 11
+    # a Valid override makes the node vote Valid, unless it equivocates
+    posing = run_consensus_round(net, range(16), np.random.default_rng(0), CFG, vote_overrides={0: Vote.VALID})
+    assert posing.valid_votes.all()
+    both = run_consensus_round(
+        net, range(16), np.random.default_rng(0), CFG, vote_overrides={0: Vote.VALID}, conflicting={0}
+    )
+    assert not both.valid_votes[0]
+
+
+def test_round_rejects_repeated_or_out_of_range_delegates():
+    net = make_net()
+    for bad in ([1, 1, 2], [0, 16], [-1, 3]):
+        with pytest.raises(ValueError):
+            run_consensus_round(net, bad, np.random.default_rng(0), CFG)
+
+
+def reference_round(alphas, betas, mask, delegates, rng, overrides, conflicting, detect_p, cfg):
+    """The round node by node through ``apply_evidence``, as a parity oracle."""
+    votes = {}
+    for d in sorted(int(d) for d in delegates):
+        if not mask[d]:
+            votes[d] = Vote.VALID
+        elif d in conflicting:
+            votes[d] = Vote.CONFLICTING
+        else:
+            votes[d] = overrides.get(d, Vote.INVALID)
+    block = sum(v is Vote.VALID for v in votes.values()) >= quorum(len(votes))
+    log = []
+    for d, v in votes.items():
+        if v is Vote.VALID:
+            if not block:
+                continue
+            kind = EvidenceKind.VALID
+        else:
+            kind = EvidenceKind.MALICIOUS if rng.random() < detect_p else EvidenceKind.INVALID
+        profile = apply_evidence(TrustProfile(float(alphas[d]), float(betas[d])), kind, cfg)
+        alphas[d], betas[d] = profile.alpha, profile.beta
+        log.append((0, 0, "consensus", d, kind.value))
+    return block, log
+
+
+def test_round_matches_per_node_apply_evidence_bit_for_bit():
+    rng = np.random.default_rng(11)
+    cfg = TrustUpdateConfig(delta_valid=0.7, delta_invalid=1.3, delta_malicious=2.9, decay_gamma=0.83)
+    for trial in range(300):
+        n = int(rng.integers(2, 20))
+        mask = rng.random(n) < rng.random()
+        alphas, betas = rng.uniform(0.5, 40.0, n), rng.uniform(0.5, 40.0, n)
+        delegates = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
+        overrides = {int(d): Vote.VALID for d in np.flatnonzero(mask) if rng.random() < 0.5}
+        conflicting = {int(d) for d in np.flatnonzero(mask) if rng.random() < 0.3}
+        detect_p = float(rng.random())
+        net = NetworkState(alphas=alphas.copy(), betas=betas.copy(), malicious_mask=mask)
+        log = []
+        out = run_consensus_round(net, delegates, np.random.default_rng(trial), cfg, vote_overrides=overrides,
+                                  conflicting=conflicting, detect_p=detect_p, evidence_log=log)
+        block, expected_log = reference_round(alphas, betas, mask, delegates, np.random.default_rng(trial),
+                                              overrides, conflicting, detect_p, cfg)
+        assert out.block_created == block
+        assert net.alphas.tobytes() == alphas.tobytes() and net.betas.tobytes() == betas.tobytes()
+        assert log == expected_log
 
 
 def test_chain_grows_every_step_without_adversaries():
@@ -140,30 +217,27 @@ def test_role_counts_preserved_across_reset():
 
 
 def test_trust_separation_forced_arithmetic():
-    net = make_net(4, 0.0)
-    net.roles[3] = type(net.roles[3])(malicious=True, attack_family="nma")
+    net = net_with_malicious(4, 3)
     net.alphas = np.array([8.0, 8.0, 8.0, 3.0])
     net.betas = np.array([2.0, 2.0, 2.0, 7.0])
     assert trust_separation(net) == pytest.approx(0.8 - 0.3)
 
 
 def test_trust_separation_equal_means_zero():
-    net = make_net(4, 0.0)
-    net.roles[0] = type(net.roles[0])(malicious=True, attack_family="nma")
+    net = net_with_malicious(4, 0)
     net.alphas = np.full(4, 8.0)
     net.betas = np.full(4, 8.0)
     assert trust_separation(net) == 0.0
 
 
 def test_trust_separation_mixed_values():
-    net = make_net(3, 0.0)
-    net.roles[2] = type(net.roles[2])(malicious=True, attack_family="nma")
+    net = net_with_malicious(3, 2)
     net.alphas = np.array([9.0, 7.0, 2.0])
     net.betas = np.array([1.0, 3.0, 8.0])
     assert trust_separation(net) == pytest.approx((0.9 + 0.7) / 2 - 0.2)
 
 
 def test_trust_separation_requires_both_roles():
-    net = make_net(4, 0.0)
-    with pytest.raises(ValueError):
-        trust_separation(net)
+    # with either role empty there is nothing to separate, and it reads 0.0
+    assert trust_separation(make_net(4, 0.0)) == 0.0
+    assert trust_separation(make_net(4, 1.0)) == 0.0

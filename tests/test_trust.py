@@ -11,7 +11,6 @@ from trustsim.trust import (
     apply_evidence,
     round_half_up,
     sample_top_k,
-    select_delegates,
     trust_score,
 )
 
@@ -99,31 +98,37 @@ def test_policy_validation():
         DelegationPolicy(1.2, 16)
 
 
-def test_select_delegates_full_ratio_selects_everyone():
+# delegate selection: the committee is the committee_size largest Thompson draws
+
+PRIOR = np.full(16, 8.0)
+
+
+def test_sample_top_k_full_ratio_selects_everyone():
     rng = np.random.default_rng(0)
-    profiles = [TrustProfile(8, 8) for _ in range(16)]
-    chosen = select_delegates(profiles, DelegationPolicy(1.0, 16), rng)
-    assert chosen == set(range(16))
+    chosen = sample_top_k(PRIOR, PRIOR, DelegationPolicy(1.0, 16).committee_size, rng)
+    assert chosen.tolist() == list(range(16))
 
 
-def test_select_delegates_counts():
+def test_sample_top_k_counts():
     rng = np.random.default_rng(1)
-    profiles = [TrustProfile(8, 8) for _ in range(16)]
-    chosen = select_delegates(profiles, DelegationPolicy(0.3, 16), rng)
+    chosen = sample_top_k(PRIOR, PRIOR, DelegationPolicy(0.3, 16).committee_size, rng)
     assert len(chosen) == 5
     assert all(0 <= i < 16 for i in chosen)
 
 
-def test_select_delegates_rejects_empty():
+def test_sample_top_k_rejects_empty():
+    empty = np.array([])
     with pytest.raises(ValueError):
-        select_delegates([], DelegationPolicy(0.5, 16), np.random.default_rng(0))
+        sample_top_k(empty, empty, DelegationPolicy(0.5, 16).committee_size, np.random.default_rng(0))
+    with pytest.raises(ValueError):
+        sample_top_k(PRIOR, PRIOR, 8, np.random.default_rng(0), candidates=np.array([], dtype=np.int64))
 
 
-def test_select_delegates_deterministic_under_seed():
-    profiles = [TrustProfile(1 + i, 17 - i) for i in range(16)]
-    policy = DelegationPolicy(0.5, 16)
-    a = [select_delegates(profiles, policy, np.random.default_rng(7)) for _ in range(5)]
-    b = [select_delegates(profiles, policy, np.random.default_rng(7)) for _ in range(5)]
+def test_sample_top_k_deterministic_under_seed():
+    alphas, betas = np.arange(1.0, 17.0), np.arange(16.0, 0.0, -1.0)
+    k = DelegationPolicy(0.5, 16).committee_size
+    a = [sample_top_k(alphas, betas, k, np.random.default_rng(7)).tolist() for _ in range(5)]
+    b = [sample_top_k(alphas, betas, k, np.random.default_rng(7)).tolist() for _ in range(5)]
     assert a == b
 
 
@@ -146,9 +151,9 @@ def test_thompson_strong_beats_weak():
 
 @settings(max_examples=25)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
-def test_select_delegates_exact_k_distinct(seed):
+def test_sample_top_k_exact_k_distinct(seed):
     rng = np.random.default_rng(seed)
-    profiles = [TrustProfile(float(rng.uniform(0.5, 20)), float(rng.uniform(0.5, 20))) for _ in range(12)]
-    chosen = select_delegates(profiles, DelegationPolicy(0.4, 12), rng)
+    alphas, betas = rng.uniform(0.5, 20, 12), rng.uniform(0.5, 20, 12)
+    chosen = sample_top_k(alphas, betas, DelegationPolicy(0.4, 12).committee_size, rng)
     assert len(chosen) == 5  # round(4.8)
-    assert len(set(chosen)) == 5
+    assert len(set(chosen.tolist())) == 5
