@@ -205,7 +205,7 @@ def extract_state(
             kappa,
         ]
     )
-    if not np.all(np.isfinite(state)):
+    if not np.isfinite(state).all():
         raise FloatingPointError(f"non-finite state features: {state}")
     return state
 

@@ -145,7 +145,7 @@ def run_consensus_round(
         raise ValueError("delegate set must be nonempty")
     if delegates[0] < 0 or delegates[-1] >= state.n:
         raise ValueError("delegate index out of range")
-    if np.any(delegates[1:] == delegates[:-1]):
+    if (delegates[1:] == delegates[:-1]).any():
         raise ValueError("delegates must be distinct")
 
     # Honest nodes vote Valid.  A malicious node does only when the attack

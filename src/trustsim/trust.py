@@ -96,7 +96,7 @@ def sample_beta(alphas: np.ndarray, betas: np.ndarray, rng: np.random.Generator)
     denom = x + y
     # Guard against simultaneous underflow at extreme shapes; fall back to the mean.
     zero = denom == 0.0
-    if np.any(zero):
+    if zero.any():
         denom = np.where(zero, 1.0, denom)
         x = np.where(zero, alphas / (alphas + betas), x)
     return x / denom
