@@ -315,15 +315,24 @@ def td_loss_and_grads(
 
 
 class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform no-replacement sampling."""
+    """Fixed-capacity ring of transitions with uniform no-replacement sampling.
+
+    Every column is a view into one zeroed 8-byte block.  As one large
+    allocation it comes from fresh zero pages that stay untouched until a
+    push writes them.  Separate small columns would come from the heap,
+    where recycled memory is zeroed, and so made resident, in full: resident
+    memory would then depend on how earlier allocations had left the heap.
+    """
 
     def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
-        self.states = np.zeros((capacity, state_dim))
-        self.actions = np.zeros(capacity, dtype=np.int64)
-        self.rewards = np.zeros(capacity)
-        self.next_states = np.zeros((capacity, state_dim))
-        self.terminals = np.zeros(capacity)
+        n = capacity * state_dim
+        block = np.zeros(2 * n + 3 * capacity)
+        self.states = block[:n].reshape(capacity, state_dim)
+        self.next_states = block[n : 2 * n].reshape(capacity, state_dim)
+        self.rewards = block[2 * n : 2 * n + capacity]
+        self.terminals = block[2 * n + capacity : 2 * n + 2 * capacity]
+        self.actions = block[2 * n + 2 * capacity :].view(np.int64)  # zero bits are int64 zero
         self.size = 0
         self.cursor = 0
 

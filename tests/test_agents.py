@@ -385,6 +385,24 @@ def test_replay_ring_overwrites_oldest():
     assert set(buf.states[:, 0].tolist()) == {2.0, 3.0, 4.0, 5.0}
 
 
+def test_replay_columns_are_disjoint_views_of_one_block():
+    capacity, dim = 5, 3
+    buf = ReplayBuffer(capacity, dim)
+    columns = (buf.states, buf.next_states, buf.rewards, buf.terminals, buf.actions)
+    base = buf.states.base
+    assert base is not None and all(c.base is base for c in columns)
+    assert base.nbytes == sum(c.nbytes for c in columns)
+    assert buf.actions.dtype == np.int64 and not buf.actions.any()
+    for i in range(capacity):
+        buf.push(np.full(dim, i + 0.25), i + 1, -float(i), np.full(dim, i + 0.5), i % 2 == 0)
+    states, actions, rewards, next_states, terminals = buf.gather(np.arange(capacity))
+    assert np.array_equal(states, np.arange(capacity)[:, None] + np.full((capacity, dim), 0.25))
+    assert np.array_equal(next_states, np.arange(capacity)[:, None] + np.full((capacity, dim), 0.5))
+    assert actions.dtype == np.int64 and actions.tolist() == [1, 2, 3, 4, 5]
+    assert rewards.tolist() == [0.0, -1.0, -2.0, -3.0, -4.0]
+    assert terminals.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
+
+
 def test_replay_rejects_oversized_batch():
     buf = ReplayBuffer(10, 1)
     buf.push(np.zeros(1), 0, 0.0, np.zeros(1), False)
