@@ -242,6 +242,12 @@ def load_policy(path) -> Policy:
 # --- encrypted evaluation backend -------------------------------------------
 
 
+NONCE_BYTES = 16
+_INT_MIN, _INT_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
+# the sealed form of each decision, as ``_seal({"decision": d})`` encodes it
+_DECISION_JSON = {d: json.dumps({"decision": int(d)}).encode("utf-8") for d in (False, True)}
+
+
 @dataclass(frozen=True)
 class Ciphertext:
     backend_tag: str
@@ -254,7 +260,9 @@ class SimulatedFheBackend:
     Payloads are the JSON encoding of the attributes XOR-masked with a
     keystream derived from a per-instance secret key and a fresh nonce, so
     identical plaintexts never share a payload.  Evaluation decrypts
-    internally, runs the plaintext engine, and re-encrypts the decision.
+    internally, runs the plaintext engine, and re-encrypts the decision;
+    ``eval_rows`` does the same for many ciphertexts at once with a
+    compiled policy.
     This reproduces the pipeline semantics only; it offers no cryptographic
     strength and says so in its tag.
     """
@@ -268,30 +276,50 @@ class SimulatedFheBackend:
 
     # keystream = blake2b(key || nonce || counter blocks)
     def _mask(self, nonce: bytes, data: bytes) -> bytes:
-        out = bytearray(len(data))
-        block = 0
-        pos = 0
-        while pos < len(data):
-            stream = hashlib.blake2b(
-                self._key + nonce + block.to_bytes(4, "little"), digest_size=64
-            ).digest()
-            n = min(64, len(data) - pos)
-            for i in range(n):
-                out[pos + i] = data[pos + i] ^ stream[i]
-            pos += n
-            block += 1
-        return bytes(out)
+        size = len(data)
+        prefix = self._key + nonce
+        stream = b"".join(
+            [
+                hashlib.blake2b(prefix + block.to_bytes(4, "little"), digest_size=64).digest()
+                for block in range(-(-size // 64))
+            ]
+        )
+        # one XOR of the message and its keystream read as two integers
+        masked = int.from_bytes(data, "little") ^ int.from_bytes(stream[:size], "little")
+        return masked.to_bytes(size, "little")
+
+    def draw_nonces(self, count: int) -> list[bytes]:
+        """``count`` fresh nonces from one draw; the same bytes ``count`` seals would draw."""
+        if count == 0:
+            return []  # numpy's bytes(0) still advances the generator
+        pool = self._rng.bytes(NONCE_BYTES * count)
+        return [pool[i : i + NONCE_BYTES] for i in range(0, len(pool), NONCE_BYTES)]
+
+    def seal_bytes(self, nonce: bytes, plain: bytes) -> Ciphertext:
+        return Ciphertext(self.tag, nonce + self._mask(nonce, plain))
 
     def _seal(self, obj) -> Ciphertext:
-        nonce = self._rng.bytes(16)
-        plain = json.dumps(obj, sort_keys=True).encode("utf-8")
-        return Ciphertext(self.tag, nonce + self._mask(nonce, plain))
+        return self.seal_bytes(self._rng.bytes(NONCE_BYTES), json.dumps(obj, sort_keys=True).encode("utf-8"))
 
     def _open(self, ct: Ciphertext):
         if ct.backend_tag != self.tag:
             raise AbacError(f"ciphertext belongs to backend {ct.backend_tag!r}, not {self.tag!r}")
-        nonce, body = ct.payload[:16], ct.payload[16:]
+        nonce, body = ct.payload[:NONCE_BYTES], ct.payload[NONCE_BYTES:]
         return json.loads(self._mask(nonce, body).decode("utf-8"))
+
+    def check_rows(self, columns: tuple, matrix: np.ndarray) -> None:
+        """The schema check of ``encrypt_attributes`` over a whole attribute matrix.
+
+        Raises on the first out-of-range value in row-major order, which is
+        the first one a per-row ``encrypt_attributes`` loop would meet.
+        """
+        bounds = np.array([self.schema.get(name, (_INT_MIN, _INT_MAX)) for name in columns], dtype=np.int64)
+        outside = (matrix < bounds[:, 0]) | (matrix > bounds[:, 1])
+        if outside.any():
+            i, j = np.argwhere(outside)[0]
+            raise AbacError(
+                f"attribute {columns[j]!r}={matrix[i, j]} outside declared range [{bounds[j, 0]}, {bounds[j, 1]}]"
+            )
 
     def encrypt_attributes(self, attrs: AttributeSet) -> Ciphertext:
         if not attrs.values:
@@ -316,6 +344,20 @@ class SimulatedFheBackend:
         decision = eval_policy_plain(policy, attrs)
         return self._seal({"decision": int(decision)})
 
+    def eval_rows(self, predicate, columns: tuple, cts: list, nonces: list) -> list[Ciphertext]:
+        """Open every attribute ciphertext, decide all rows with one call of the
+        compiled ``predicate`` and seal decision i under ``nonces[i]``."""
+        rows = []
+        for ct in cts:
+            values = self._open(ct)
+            try:
+                rows.append([values[name] for name in columns])
+            except KeyError as err:
+                raise AbacError(f"ciphertext lacks attribute {err.args[0]!r}") from None
+        # the reshape keeps an empty batch two-dimensional for the predicate
+        decisions = predicate(np.array(rows, dtype=np.int64).reshape(len(rows), len(columns)))
+        return [self.seal_bytes(nonce, _DECISION_JSON[d]) for nonce, d in zip(nonces, decisions.tolist())]
+
     def decrypt_decision(self, ct: Ciphertext) -> bool:
         obj = self._open(ct)
         if set(obj) != {"decision"}:
@@ -338,12 +380,15 @@ class PolicyGate:
     """Per-node access decision used before delegate selection.
 
     Every node presents the attributes in ``NODE_ATTRIBUTES``: its trust
-    quantized to [0, 100] and the constant validator attributes.
-    ``mode="plain"`` evaluates the policy, compiled once, over all nodes'
-    attribute rows together; ``mode="encrypted"`` pushes every node's
-    decision through the full encrypt/eval/decrypt pipeline.  The two modes
-    are parity-tested and produce identical decisions; plain is the default
-    because it avoids per-step ciphertext churn.
+    quantized to [0, 100] and the constant validator attributes.  Both
+    modes build one integer attribute matrix per step (one row per node)
+    and decide it with the policy compiled once.  ``mode="plain"`` runs
+    the predicate on the matrix directly; ``mode="encrypted"`` seals each
+    node's row in its own ciphertext under its own nonce, and the backend
+    opens them all, decides every row in one pass and seals each decision
+    for the gate to open.  The two modes are parity-tested and produce
+    identical decisions; plain is the default because it skips the
+    sealing and opening, which cost over ten times the decision itself.
     """
 
     def __init__(self, policy: Policy | None = None, mode: str = "plain", backend=None):
@@ -352,8 +397,11 @@ class PolicyGate:
             raise AbacError(f"gate mode must be plain|encrypted, got {mode!r}")
         self.mode = mode
         self.backend = backend if backend is not None else SimulatedFheBackend()
-        self._predicate = compile_policy(self.policy, tuple(NODE_ATTRIBUTES))
+        self._columns = tuple(NODE_ATTRIBUTES)
+        self._predicate = compile_policy(self.policy, self._columns)
         self._row = np.array(list(NODE_ATTRIBUTES.values()), dtype=np.int64)
+        # quantized trust -> the JSON a node with that trust presents (at most 101 entries)
+        self._encoded: dict[int, bytes] = {}
 
     def decide(self, attrs: AttributeSet) -> bool:
         if self.mode == "plain":
@@ -365,11 +413,24 @@ class PolicyGate:
     def node_attributes(self, tau: float, role_code: int = ROLE_VALIDATOR) -> AttributeSet:
         return AttributeSet({**NODE_ATTRIBUTES, "trust": quantize_trust(tau), "role": role_code})
 
+    def _encode(self, trust: int) -> bytes:
+        encoded = self._encoded.get(trust)
+        if encoded is None:
+            values = {**NODE_ATTRIBUTES, "trust": trust}
+            encoded = self._encoded[trust] = json.dumps(values, sort_keys=True).encode("utf-8")
+        return encoded
+
     def accepted(self, trusts) -> np.ndarray:
         """Indices of nodes whose access decision is accept, ascending."""
+        matrix = np.tile(self._row, (len(trusts), 1))
+        matrix[:, 0] = np.clip(np.floor(np.asarray(trusts, dtype=float) * 100.0), 0, 100)
         if self.mode == "plain":
-            matrix = np.tile(self._row, (len(trusts), 1))
-            matrix[:, 0] = np.clip(np.floor(np.asarray(trusts, dtype=float) * 100.0), 0, 100)
             return np.flatnonzero(self._predicate(matrix))
-        decisions = [self.decide(self.node_attributes(float(tau))) for tau in trusts]
-        return np.flatnonzero(np.array(decisions, dtype=bool))
+        backend = self.backend
+        backend.check_rows(self._columns, matrix)
+        # node i seals its attributes under nonce 2i and its decision under
+        # nonce 2i + 1, the order of a per-node encrypt/eval/decrypt loop
+        nonces = backend.draw_nonces(2 * len(matrix))
+        cts = [backend.seal_bytes(nonce, self._encode(q)) for nonce, q in zip(nonces[0::2], matrix[:, 0].tolist())]
+        decisions = backend.eval_rows(self._predicate, self._columns, cts, nonces[1::2])
+        return np.flatnonzero(np.array([backend.decrypt_decision(ct) for ct in decisions], dtype=bool))

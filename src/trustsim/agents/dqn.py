@@ -38,8 +38,6 @@ class DqnAgent:
         self.eps = hp.eps_start
         self._decay = hp.episode_eps_decay(episodes_total)
         self.total_steps = 0
-        self.train_skips = 0
-        self.last_loss: float | None = None
 
     def begin_episode(self, episode_index: int) -> None:
         pass
@@ -50,11 +48,7 @@ class DqnAgent:
     def observe(self, state, action, reward, next_state, terminal: bool) -> None:
         self.buffer.push(state, action, reward * self.hp.reward_scale, next_state, terminal)
         self.total_steps += 1
-        loss = train_step(self.online, self.target, self.buffer, self.optimizer, self.hp, self.rng)
-        if loss is None:
-            self.train_skips += 1
-        else:
-            self.last_loss = loss
+        train_step(self.online, self.target, self.buffer, self.optimizer, self.hp, self.rng)
         if self.total_steps % self.hp.target_sync_every == 0:
             sync_target(self.online, self.target)
 

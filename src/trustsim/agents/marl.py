@@ -70,8 +70,6 @@ class MarlPool:
         self.eps = hp.eps_start
         self._decay = hp.episode_eps_decay(episodes_total)
         self.total_steps = 0
-        self.updates = 0
-        self.last_loss: float | None = None
         self._last_votes: list[int] | None = None
 
     def begin_episode(self, episode_index: int) -> None:
@@ -126,8 +124,6 @@ class MarlPool:
         targets = double_q_targets(rewards, next_states, terminals, self.online, self.target, self.hp.discount)
         loss, grads = td_loss_and_grads(self.online, states, actions.astype(np.int64), targets, self.hp.td_clip)
         self.optimizer.step(grads)
-        self.updates += 1
-        self.last_loss = loss
         return loss
 
     def end_episode(self) -> None:

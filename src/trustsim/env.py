@@ -283,7 +283,7 @@ class Environment:
             batch_size=self.cfg.batch_size,
         )
 
-    def step(self, action: Action) -> tuple[float, dict]:
+    def step(self, action: Action) -> float:
         net = self.net
         net.delegation_ratio = apply_action(net.delegation_ratio, action)
 
@@ -334,7 +334,7 @@ class Environment:
         self.kappas.append(kappa)
         self.rewards.append(reward)
         net.step_index += 1
-        return reward, {"confusion": cm, "kappa": kappa, "block": block, "verified": verified}
+        return reward
 
 
 def run_episode(
@@ -360,7 +360,7 @@ def run_episode(
     state = env.observe()
     for t in range(steps):
         action = agent.act(state)
-        reward, _ = env.step(Action(action))
+        reward = env.step(Action(action))
         next_state = env.observe()
         terminal = terminal_at_end and t == steps - 1
         agent.observe(state, int(action), reward, next_state, terminal=terminal)

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import contextlib
+import multiprocessing
+import os
 import statistics
 import sys
 import traceback
@@ -112,6 +115,32 @@ def tail_mean_f1(records, tail: int = 10) -> float:
     return float(np.mean([r.f1 for r in window]))
 
 
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextlib.contextmanager
+def spawn_pool(workers: int):
+    """A process pool whose workers each run BLAS on one thread.
+
+    The workers are the parallelism: BLAS threads on top of them
+    oversubscribe the cores and spin, which makes a matrix several times
+    slower.  BLAS reads its thread count when numpy is imported, so the
+    workers are spawned, not forked, with the variables set to 1 while the
+    pool lives; the parent's environment is restored afterwards.
+    """
+    saved = {var: os.environ.get(var) for var in BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(BLAS_THREAD_VARS, "1"))
+    try:
+        with ProcessPoolExecutor(max_workers=workers, mp_context=multiprocessing.get_context("spawn")) as pool:
+            yield pool
+    finally:
+        for var, value in saved.items():
+            if value is None:
+                os.environ.pop(var, None)
+            else:
+                os.environ[var] = value
+
+
 def _matrix_cell(args):
     cfg_kwargs, agent, attack, seed, out_dir = args
     cfg = ExperimentConfig(**{**cfg_kwargs, "agent": agent, "attack": attack, "seed": seed, "out": out_dir})
@@ -166,7 +195,7 @@ def run_matrix(
             print(f"  {agent} vs {attack} seed {seed}: tail-10 mean F1 = {f1_value:.3f}")
 
     if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with spawn_pool(workers) as pool:
             futures = {pool.submit(_matrix_cell, job): job for job in jobs}
             for fut, job in futures.items():
                 try:

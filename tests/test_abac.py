@@ -1,9 +1,12 @@
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustsim.abac import (
+    DEFAULT_SCHEMA,
     AbacError,
     And,
     AttributeSet,
@@ -180,3 +183,102 @@ def test_ciphertext_backend_tag_enforced(backend):
     ct_other = type(ct)("other-backend", ct.payload)
     with pytest.raises(AbacError):
         other.decrypt_attributes(ct_other)
+
+
+def per_byte_mask(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """Reference for ``SimulatedFheBackend._mask``: the keystream XOR one byte at a time."""
+    out = bytearray(len(data))
+    block = 0
+    pos = 0
+    while pos < len(data):
+        stream = hashlib.blake2b(key + nonce + block.to_bytes(4, "little"), digest_size=64).digest()
+        n = min(64, len(data) - pos)
+        for i in range(n):
+            out[pos + i] = data[pos + i] ^ stream[i]
+        pos += n
+        block += 1
+    return bytes(out)
+
+
+@pytest.mark.parametrize("length", [0, 1, 63, 64, 65, 200])
+def test_mask_matches_per_byte_loop(backend, length):
+    rng = np.random.default_rng(length)
+    for _ in range(20):
+        nonce, data = rng.bytes(16), rng.bytes(length)
+        masked = backend._mask(nonce, data)
+        assert masked == per_byte_mask(backend._key, nonce, data)
+        assert backend._mask(nonce, masked) == data
+
+
+def per_node_accepted(gate: PolicyGate, backend: SimulatedFheBackend, trusts) -> np.ndarray:
+    """Reference: every node through encrypt -> eval -> decrypt on its own."""
+    decisions = []
+    for tau in trusts:
+        ct = encrypt_attributes(gate.node_attributes(float(tau)), backend)
+        decisions.append(backend.decrypt_decision(eval_policy_encrypted(gate.policy, ct, backend)))
+    return np.flatnonzero(np.array(decisions, dtype=bool))
+
+
+GATE_POLICIES = (None, "(trust < 30) | (trust >= 70)", "(trust != 45) & (clearance >= 3)")
+EDGE_TRUSTS = (0.0, 1.0, 0.4499, float(np.nextafter(0.45, 0.0)), 0.45)
+
+
+def trust_vectors(seed: int, count: int):
+    rng = np.random.default_rng(seed)
+    yield np.array(EDGE_TRUSTS)
+    yield np.array([])
+    for _ in range(count):
+        taus = rng.random(int(rng.integers(1, 24)))
+        taus[rng.random(len(taus)) < 0.3] = rng.choice(EDGE_TRUSTS)
+        yield taus
+
+
+@pytest.mark.parametrize("policy_text", GATE_POLICIES)
+def test_batched_encrypted_gate_matches_plain_and_per_node(policy_text):
+    policy = None if policy_text is None else parse_policy(policy_text)
+    plain = PolicyGate(policy, mode="plain")
+    gate = PolicyGate(policy, mode="encrypted", backend=SimulatedFheBackend(seed=11))
+    reference = SimulatedFheBackend(seed=11)
+    for taus in trust_vectors(seed=5, count=60):
+        accepted = gate.accepted(taus)
+        assert accepted.dtype == np.int64
+        assert np.array_equal(accepted, plain.accepted(taus))
+        assert np.array_equal(accepted, per_node_accepted(gate, reference, taus))
+        # the batch draws the nonces the per-node loop draws, in the same order
+        assert gate.backend._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+def test_batched_encrypted_gate_seals_the_per_node_ciphertexts():
+    gate = PolicyGate(mode="encrypted", backend=SimulatedFheBackend(seed=4))
+    batch = {}
+    eval_rows = gate.backend.eval_rows
+
+    def recording_eval_rows(predicate, columns, cts, nonces):
+        batch["attributes"] = cts
+        batch["decisions"] = eval_rows(predicate, columns, cts, nonces)
+        return batch["decisions"]
+
+    gate.backend.eval_rows = recording_eval_rows
+    taus = np.array([0.5, 0.5, 0.2, 0.9, 0.45, 0.5])
+    gate.accepted(taus)
+    reference = SimulatedFheBackend(seed=4)
+    attributes, decisions = [], []
+    for tau in taus:
+        attributes.append(reference.encrypt_attributes(gate.node_attributes(tau)))
+        decisions.append(reference.eval_policy(gate.policy, attributes[-1]))
+    # one ciphertext per node, each under its own nonce, byte for byte the per-node pipeline's
+    assert batch["attributes"] == attributes
+    assert batch["decisions"] == decisions
+    assert len({ct.payload[:16] for ct in attributes + decisions}) == 2 * len(taus)
+
+
+def test_batched_encrypted_gate_enforces_schema():
+    backend = SimulatedFheBackend(seed=2, schema={**DEFAULT_SCHEMA, "trust": (0, 60)})
+    gate = PolicyGate(mode="encrypted", backend=backend)
+    assert list(gate.accepted([0.2, 0.5, 0.6])) == [1, 2]
+    state = backend._rng.bit_generator.state
+    with pytest.raises(AbacError, match=r"'trust'=61 outside declared range \[0, 60\]"):
+        gate.accepted([0.2, 0.61, 0.9])
+    with pytest.raises(AbacError, match=r"'trust'=61 outside"):
+        backend.encrypt_attributes(gate.node_attributes(0.61))
+    assert backend._rng.bit_generator.state == state

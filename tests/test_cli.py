@@ -1,4 +1,6 @@
 import csv
+import os
+from dataclasses import replace
 
 import pytest
 
@@ -161,6 +163,22 @@ def test_run_matrix_records_failures_and_continues(tmp_path, monkeypatch):
         rows = list(csv.reader(fh))
     assert rows[1][1] == "missing"
     assert rows[1][2] != "missing"
+
+
+def test_run_matrix_workers_match_serial_and_restore_environment(tmp_path, monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    environment = dict(os.environ)
+    base = ExperimentConfig(out=str(tmp_path / "serial"), episodes=2, steps=20, seed=42)
+    serial, failures = run_matrix(base, ["rl", "drl"], ["nma"], seeds=[42, 43], workers=1)
+    assert not failures
+    pooled, failures = run_matrix(
+        replace(base, out=str(tmp_path / "pooled")), ["rl", "drl"], ["nma"], seeds=[42, 43], workers=2
+    )
+    assert not failures
+    assert pooled == serial
+    assert dict(os.environ) == environment
 
 
 def rec(ep, reward, f1_value):
