@@ -400,6 +400,8 @@ class PolicyGate:
         self._columns = tuple(NODE_ATTRIBUTES)
         self._predicate = compile_policy(self.policy, self._columns)
         self._row = np.array(list(NODE_ATTRIBUTES.values()), dtype=np.int64)
+        # rebuilt only when the node count changes; each step rewrites the trust column
+        self._matrix = np.tile(self._row, (0, 1))
         # quantized trust -> the JSON a node with that trust presents (at most 101 entries)
         self._encoded: dict[int, bytes] = {}
 
@@ -422,10 +424,13 @@ class PolicyGate:
 
     def accepted(self, trusts) -> np.ndarray:
         """Indices of nodes whose access decision is accept, ascending."""
-        matrix = np.tile(self._row, (len(trusts), 1))
-        matrix[:, 0] = np.clip(np.floor(np.asarray(trusts, dtype=float) * 100.0), 0, 100)
+        matrix = self._matrix
+        if len(matrix) != len(trusts):
+            matrix = self._matrix = np.tile(self._row, (len(trusts), 1))
+        quantized = np.floor(np.asarray(trusts, dtype=float) * 100.0)
+        matrix[:, 0] = np.minimum(np.maximum(quantized, 0.0, out=quantized), 100.0, out=quantized)
         if self.mode == "plain":
-            return np.flatnonzero(self._predicate(matrix))
+            return self._predicate(matrix).nonzero()[0]
         backend = self.backend
         backend.check_rows(self._columns, matrix)
         # node i seals its attributes under nonce 2i and its decision under

@@ -392,4 +392,4 @@ def epsilon_greedy(qvalues: np.ndarray, eps: float, rng: np.random.Generator) ->
         raise ValueError("eps must lie in [0, 1]")
     if eps > 0.0 and rng.random() < eps:
         return int(rng.integers(len(qvalues)))
-    return int(np.argmax(qvalues))
+    return int(qvalues.argmax())

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from ..env import FEATURE_NAMES, N_ACTIONS
@@ -36,11 +34,15 @@ FEATURE_RANGES = {
 }
 
 
-@dataclass(frozen=True)
 class DiscretizationSpec:
-    bins: tuple
-    lows: tuple
-    highs: tuple
+    """Bin count and value range per feature, plus the arrays ``discretize`` uses, built once."""
+
+    def __init__(self, bins: tuple, lows: tuple, highs: tuple):
+        self.bins, self.lows, self.highs = bins, lows, highs
+        self.low_values = np.array(lows, dtype=float)
+        self.spans = np.array(highs, dtype=float) - self.low_values
+        self.bin_counts = np.array(bins, dtype=float)
+        self.top_bins = self.bin_counts - 1.0
 
 
 def default_spec() -> DiscretizationSpec:
@@ -61,10 +63,16 @@ def discretize_value(value: float, low: float, high: float, bins: int) -> int:
 
 
 def discretize(state: np.ndarray, spec: DiscretizationSpec) -> bytes:
-    key = bytearray(len(state))
-    for i, v in enumerate(state):
-        key[i] = discretize_value(float(v), spec.lows[i], spec.highs[i], spec.bins[i])
-    return bytes(key)
+    """``discretize_value`` per feature in one pass: the same IEEE steps, one byte each.
+
+    Capping before the cast truncates to the same bin as capping after ``int``.
+    """
+    frac = (state - spec.low_values) / spec.spans
+    np.maximum(frac, 0.0, out=frac)
+    np.minimum(frac, 1.0, out=frac)
+    np.multiply(frac, spec.bin_counts, out=frac)
+    np.minimum(frac, spec.top_bins, out=frac)
+    return frac.astype(np.uint8).tobytes()
 
 
 class QTable:
@@ -94,7 +102,7 @@ def tabular_update(
 ) -> QTable:
     """Temporal-difference backup toward r + gamma * max_a' Q(s', a')."""
     row = q.row(s_key)
-    best_next = float(np.max(q.values(s_next_key)))
+    best_next = float(q.values(s_next_key).max())
     row[action] += hp.tabular_learning_rate * (reward + hp.discount * best_next - row[action])
     return q
 

@@ -2,11 +2,12 @@
 
 Attacks never write trust scores directly.  Every trust effect is emitted
 as a perturbation in evidence space (alpha boosts, beta penalties), so the
-Beta-profile invariants survive any attack schedule.  Vote manipulation
-and observation corruption travel on separate channels: MARK_CONFLICTING
-flags a node to equivocate in the next consensus round, and
-CORRUPT_OBSERVATION replaces one node's contribution to the agent's state
-features without touching actual trust.
+Beta-profile invariants survive any attack schedule.  A step returns them
+in ``StepEffects`` beside two channels that carry no evidence, both set
+only by BFI: ``conflicting``, the nodes that equivocate in the next
+consensus round, and ``corruption``, one ``(node, value)`` pair that
+replaces that node's trust in the agent's state features without touching
+actual trust.
 
 Families:
 
@@ -98,8 +99,6 @@ class AttackConfig:
 class PerturbationKind(enum.Enum):
     BOOST_ALPHA = "boost_alpha"
     PENALIZE_BETA = "penalize_beta"
-    MARK_CONFLICTING = "mark_conflicting"
-    CORRUPT_OBSERVATION = "corrupt_observation"
 
 
 @dataclass(frozen=True)
@@ -116,14 +115,20 @@ class Perturbation:
     target: int
     kind: PerturbationKind
     magnitude: float = 1.0
-    feature_mask: dict | None = None
     emitters: tuple | None = None
 
     def __post_init__(self):
         if self.magnitude <= 0.0:
             raise ValueError("perturbation magnitude must be positive")
-        if self.kind is PerturbationKind.CORRUPT_OBSERVATION and self.feature_mask is None:
-            raise ValueError("observation corruption needs a feature mask")
+
+
+@dataclass
+class StepEffects:
+    """One attack step: evidence perturbations, equivocating nodes and the eclipse ``(node, value)``."""
+
+    perturbations: list
+    conflicting: set = field(default_factory=set)
+    corruption: tuple | None = None
 
 
 @dataclass
@@ -294,17 +299,17 @@ def aaa_step(
 
 def bfi_step(
     cfg: AttackConfig, state: AttackState, net: NetworkState, rng
-) -> tuple[list[Perturbation], AttackState]:
+) -> tuple[StepEffects, AttackState]:
     byz = net.malicious
     honest = net.honest
     if len(byz) == 0:
-        return [], state
+        return StepEffects([]), state
     taus = net.trust_scores()
 
     if state.bfi_eclipse_target is None and len(honest):
         state.bfi_eclipse_target = int(honest[rng.integers(len(honest))])
 
-    mean_byz = float(taus[byz].mean())
+    mean_byz = float(taus[byz].sum() / len(byz))
     if mean_byz > cfg.bfi_high_trust:
         state.bfi_phase = "AGGRESSIVE"
     elif mean_byz < cfg.bfi_low_trust:
@@ -316,10 +321,11 @@ def bfi_step(
         cfg.bfi_recovery_equivocation_rate if state.bfi_phase == "RECOVERY" else cfg.bfi_equivocation_rate
     )
 
+    # one draw per Byzantine node in index order: the same doubles as one
+    # scalar rng.random() per node
+    conflicting = set(byz[rng.random(len(byz)) < rate].tolist())
+
     perts: list[Perturbation] = []
-    for b in byz:
-        if rng.random() < rate:
-            perts.append(Perturbation(int(b), PerturbationKind.MARK_CONFLICTING, 1.0))
 
     # coalition endorsements only while lying low; each endorsement is
     # sybil-amplified because the k virtual identities co-sign it
@@ -346,18 +352,11 @@ def bfi_step(
                 )
             )
 
+    corruption = None
     if state.bfi_eclipse_target is not None:
         target = state.bfi_eclipse_target
-        fake = float(np.clip(1.0 - taus[target], 0.01, 0.99))
-        perts.append(
-            Perturbation(
-                target,
-                PerturbationKind.CORRUPT_OBSERVATION,
-                1.0,
-                feature_mask={"trust_value": fake},
-            )
-        )
-    return perts, state
+        corruption = (target, min(max(1.0 - float(taus[target]), 0.01), 0.99))
+    return StepEffects(perts, conflicting, corruption), state
 
 
 # --- TDP ---------------------------------------------------------------------
@@ -397,13 +396,6 @@ def tdp_step(
 # --- driver used by the environment ------------------------------------------
 
 
-@dataclass
-class StepEffects:
-    perturbations: list
-    conflicting: set
-    corruption: dict
-
-
 class Attack:
     """Binds a family's config and memory; one instance per simulation run."""
 
@@ -413,30 +405,20 @@ class Attack:
 
     def step(self, net: NetworkState, rng) -> StepEffects:
         cfg = self.cfg
+        if cfg.family == "bfi":
+            effects, self.state = bfi_step(cfg, self.state, net, rng)
+            return effects
         if cfg.family == "nma":
             perts = nma_step(cfg, self.state, net, rng)
         elif cfg.family == "cra":
             perts = cra_step(cfg, self.state, net, rng)
         elif cfg.family == "aaa":
             perts, self.state = aaa_step(cfg, self.state, net, rng)
-        elif cfg.family == "bfi":
-            perts, self.state = bfi_step(cfg, self.state, net, rng)
         elif cfg.family == "tdp":
             perts, self.state = tdp_step(cfg, self.state, net, rng)
         else:
             perts = []
-
-        conflicting = set()
-        corruption = {}
-        evidence = []
-        for p in perts:
-            if p.kind is PerturbationKind.MARK_CONFLICTING:
-                conflicting.add(p.target)
-            elif p.kind is PerturbationKind.CORRUPT_OBSERVATION:
-                corruption[p.target] = p.feature_mask["trust_value"]
-            else:
-                evidence.append(p)
-        return StepEffects(perturbations=evidence, conflicting=conflicting, corruption=corruption)
+        return StepEffects(perts)
 
     def vote_overrides(self, net: NetworkState) -> dict:
         """Consensus vote behavior beyond the Invalid default.
@@ -466,10 +448,8 @@ def apply_perturbations(net: NetworkState, perturbations, accepted=None, evidenc
             magnitude = p.magnitude * (live / len(p.emitters))
         if p.kind is PerturbationKind.BOOST_ALPHA:
             net.alphas[p.target] += magnitude
-        elif p.kind is PerturbationKind.PENALIZE_BETA:
-            net.betas[p.target] += magnitude
         else:
-            raise ValueError(f"{p.kind} is not evidence-space")
+            net.betas[p.target] += magnitude
         if evidence_log is not None:
             evidence_log.append(
                 (net.episode_index, net.step_index, "attack", p.target, f"{p.kind.value}:{magnitude:.6f}")

@@ -14,6 +14,7 @@ evidence stages changes results.
 from __future__ import annotations
 
 import enum
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -73,7 +74,7 @@ RATIO_MAX = 1.0
 def apply_action(ratio: float, action: Action) -> float:
     if not (RATIO_MIN <= ratio <= RATIO_MAX):
         raise ValueError(f"ratio {ratio} outside [{RATIO_MIN}, {RATIO_MAX}]")
-    return float(np.clip(ratio * ACTION_MULTIPLIERS[action], RATIO_MIN, RATIO_MAX))
+    return min(max(ratio * ACTION_MULTIPLIERS[action], RATIO_MIN), RATIO_MAX)
 
 
 @dataclass(frozen=True)
@@ -100,9 +101,11 @@ def collusion_score(tau_honest_mean: float, tau_malicious_mean: float, kappa_max
 
 def network_kappa(net: NetworkState, taus: np.ndarray, kappa_max: float) -> float:
     """Collusion score between the honest and malicious mean trust; 0.0 when a role is empty."""
-    if len(net.honest) == 0 or len(net.malicious) == 0:
+    honest, malicious = taus[net.honest], taus[net.malicious]
+    if len(honest) == 0 or len(malicious) == 0:
         return 0.0
-    return collusion_score(float(taus[net.honest].mean()), float(taus[net.malicious].mean()), kappa_max)
+    # sum / len is ndarray.mean's own arithmetic, without its wrapper
+    return collusion_score(float(honest.sum() / len(honest)), float(malicious.sum() / len(malicious)), kappa_max)
 
 
 def compute_reward(cm: metrics.ConfusionMatrix, r_step: float, kappa: float, cfg: RewardConfig) -> float:
@@ -114,18 +117,6 @@ def compute_reward(cm: metrics.ConfusionMatrix, r_step: float, kappa: float, cfg
     if kappa > cfg.collusion_trigger:
         reward -= min(kappa * 2.0, cfg.collusion_cap)
     return reward
-
-
-def _skewness(values: np.ndarray, mean: float, var: float) -> float:
-    # Fisher sample skewness g1 = m3 / m2^(3/2); defined as 0 for a flat sample
-    if var <= 0.0:
-        return 0.0
-    centered = values - values.mean()
-    m2 = float((centered**2).mean())
-    m3 = float((centered**3).mean())
-    if m2 <= 0.0:
-        return 0.0
-    return m3 / m2**1.5
 
 
 def _linear_quantile(ordered: list, q: float) -> float:
@@ -144,36 +135,49 @@ def extract_state(
     net: NetworkState,
     history: "History",
     kappa_max: float = 10.0,
-    corruption: dict | None = None,
+    corruption: tuple | None = None,
     steps_per_episode: int = 100,
     batch_size: int = 10,
 ) -> np.ndarray:
-    """Build the 16-feature observation from the current network view."""
+    """Build the 16-feature observation from the current network view.
+
+    ``corruption`` is an eclipse's ``(node, value)``: the observation shows
+    ``value`` as that node's trust; the network keeps the true one.
+    """
     true_taus = net.trust_scores()
     taus = true_taus
-    if corruption:
+    if corruption is not None:
         taus = taus.copy()
-        for node, value in corruption.items():
-            taus[node] = value
+        taus[corruption[0]] = corruption[1]
 
-    mean = float(taus.mean())
-    var = float(taus.var(ddof=1)) if len(taus) > 1 else 0.0
-    skew = _skewness(taus, mean, var)
+    # The moments come from one centred vector, in the order of numpy's own
+    # mean and var (``x**2`` is ``x*x`` in numpy), so they match np.mean,
+    # np.var(ddof=1) and the moment skewness bit for bit.
+    n = len(taus)
+    mean = taus.sum() / n
+    c = taus - mean
+    squares = (c * c).sum()
+    var = float(squares / (n - 1)) if n > 1 else 0.0
+    # Fisher sample skewness g1 = m3 / m2^(3/2); defined as 0 for a flat sample
+    skew = 0.0
+    m2 = float(squares / n)
+    if var > 0.0 and m2 > 0.0:
+        skew = float((c**3).sum() / n) / m2**1.5
     ordered = np.sort(taus).tolist()
     half = len(ordered) // 2
     median = ordered[half] if len(ordered) % 2 else (ordered[half - 1] + ordered[half]) / 2
     spread = ordered[-1] - ordered[0]
     iqr = _linear_quantile(ordered, 0.75) - _linear_quantile(ordered, 0.25)
-    cv = float(np.sqrt(var) / mean) if mean > 0.0 else 0.0
+    cv = math.sqrt(var) / mean if mean > 0.0 else 0.0
 
     tx_cap = float(steps_per_episode * batch_size)
-    verified_norm = float(np.clip(net.verified_tx_total / tx_cap, 0.0, 1.0)) if tx_cap else 0.0
-    chain_norm = float(np.clip(net.chain_length / steps_per_episode, 0.0, 1.0))
+    verified_norm = min(max(net.verified_tx_total / tx_cap, 0.0), 1.0) if tx_cap else 0.0
+    chain_norm = min(max(net.chain_length / steps_per_episode, 0.0), 1.0)
 
     hm_ratio = len(net.honest) / max(1, len(net.malicious))
 
-    low_frac = float((taus < LOW_TRUST_CUTOFF).mean())
-    high_frac = float((taus > HIGH_TRUST_CUTOFF).mean())
+    low_frac = np.count_nonzero(taus < LOW_TRUST_CUTOFF) / n
+    high_frac = np.count_nonzero(taus > HIGH_TRUST_CUTOFF) / n
 
     # the delegation policy's committee fraction: the observable image of
     # the controlled variable (k/N under the current ratio)
@@ -261,7 +265,7 @@ class Environment:
         self.evidence_log = evidence_log
         self.history = History()
         self.pending_conflicting: set = set()
-        self.pending_corruption: dict = {}
+        self.pending_corruption: tuple | None = None
         self.kappas: list[float] = []
         self.rewards: list[float] = []
 
@@ -269,7 +273,7 @@ class Environment:
         self.net.episode_index = episode_index
         self.history = History()
         self.pending_conflicting = set()
-        self.pending_corruption = {}
+        self.pending_corruption = None
         self.kappas = []
         self.rewards = []
 
@@ -317,7 +321,7 @@ class Environment:
             self.pending_conflicting = effects.conflicting
             self.pending_corruption = effects.corruption
         else:
-            self.pending_corruption = {}
+            self.pending_corruption = None
 
         block = outcome.block_created if outcome else False
         verified = outcome.verified_tx if outcome else 0
@@ -328,7 +332,7 @@ class Environment:
         kappa = network_kappa(net, true_taus, self.reward_cfg.kappa_max)
         r_step = 10.0 * (verified / self.cfg.batch_size) + 50.0 * (1.0 if block else 0.0)
         reward = compute_reward(cm, r_step, kappa, self.reward_cfg)
-        if not np.isfinite(reward):
+        if not math.isfinite(reward):
             raise SimulationError(f"non-finite reward at step {net.step_index}: {reward}")
 
         self.kappas.append(kappa)

@@ -49,6 +49,32 @@ def test_discretize_key_shape_and_bins():
     assert isinstance(key, bytes) and len(key) == 16
 
 
+def feature_values(low, high, bins):
+    """Bin edges, both range edges and their neighbours, values out of range and anything finite."""
+    span = high - low
+    edges = [low + span * k / bins for k in range(bins + 1)]
+    near = [np.nextafter(v, d) for v in (low, high) for d in (-np.inf, np.inf)]
+    return st.one_of(
+        st.sampled_from(edges + near + [low - span, high + span]),
+        st.floats(low - 2 * span, high + 2 * span),
+        st.floats(allow_nan=False, allow_infinity=False),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_discretize_matches_per_feature_loop(data):
+    spec = default_spec()
+    state = np.array(
+        [data.draw(feature_values(lo, hi, b)) for lo, hi, b in zip(spec.lows, spec.highs, spec.bins)]
+    )
+    expected = bytes(
+        discretize_value(float(v), lo, hi, b) for v, lo, hi, b in zip(state, spec.lows, spec.highs, spec.bins)
+    )
+    with np.errstate(over="ignore"):  # (v - low) / span overflows to inf for the largest floats
+        assert discretize(state, spec) == expected
+
+
 # --- tabular updates --------------------------------------------------------
 
 

@@ -181,8 +181,8 @@ def test_bfi_coordinated_strike_on_window():
     net = make_net()
     net.step_index = 12
     state = new_state(cfg)
-    perts, _ = bfi_step(cfg, state, net, np.random.default_rng(0))
-    strikes = [p for p in perts if p.kind is PerturbationKind.PENALIZE_BETA]
+    effects, _ = bfi_step(cfg, state, net, np.random.default_rng(0))
+    strikes = [p for p in effects.perturbations if p.kind is PerturbationKind.PENALIZE_BETA]
     assert len(strikes) == 5  # one per byzantine node
     assert len({p.target for p in strikes}) == 1
 
@@ -191,8 +191,8 @@ def test_bfi_no_strike_off_window():
     cfg = AttackConfig(family="bfi")
     net = make_net()
     net.step_index = 7
-    perts, _ = bfi_step(cfg, new_state(cfg), net, np.random.default_rng(0))
-    assert not [p for p in perts if p.kind is PerturbationKind.PENALIZE_BETA]
+    effects, _ = bfi_step(cfg, new_state(cfg), net, np.random.default_rng(0))
+    assert not [p for p in effects.perturbations if p.kind is PerturbationKind.PENALIZE_BETA]
 
 
 def test_bfi_recovery_phase_suppresses_equivocation():
@@ -207,9 +207,9 @@ def test_bfi_recovery_phase_suppresses_equivocation():
     rounds = 2000
     for step in range(rounds):
         net.step_index = step + 1  # avoid strike windows contaminating counts
-        perts, state = bfi_step(cfg, state, net, rng)
+        effects, state = bfi_step(cfg, state, net, rng)
         assert state.bfi_phase == "RECOVERY"
-        marks += sum(1 for p in perts if p.kind is PerturbationKind.MARK_CONFLICTING)
+        marks += len(effects.conflicting)
     rate = marks / (rounds * len(byz))
     assert 0.17 <= rate <= 0.23
 
@@ -235,13 +235,36 @@ def test_bfi_eclipse_target_is_standing_and_corrupts_observation():
     targets = set()
     for step in range(10):
         net.step_index = step
-        perts, state = bfi_step(cfg, state, net, rng)
-        corrupt = [p for p in perts if p.kind is PerturbationKind.CORRUPT_OBSERVATION]
-        assert len(corrupt) == 1
-        assert corrupt[0].feature_mask is not None
-        targets.add(corrupt[0].target)
+        effects, state = bfi_step(cfg, state, net, rng)
+        node, value = effects.corruption
+        assert 0.01 <= value <= 0.99
+        targets.add(node)
     assert len(targets) == 1
     assert not net.malicious_mask[targets.pop()]
+
+
+@pytest.mark.parametrize(
+    "phase, alpha, beta", [("AGGRESSIVE", 7.0, 3.0), ("STRATEGIC", 5.0, 5.0), ("RECOVERY", 3.5, 6.5)]
+)
+def test_bfi_equivocation_matches_per_node_draws(phase, alpha, beta):
+    cfg = AttackConfig(family="bfi")
+    net = make_net()
+    byz = net.malicious
+    net.alphas[byz], net.betas[byz] = alpha, beta
+    rate = cfg.bfi_recovery_equivocation_rate if phase == "RECOVERY" else cfg.bfi_equivocation_rate
+    state = new_state(cfg)
+    rng, reference = np.random.default_rng(5), np.random.default_rng(5)
+    marked = 0
+    for step in range(40):
+        net.step_index = step
+        if state.bfi_eclipse_target is None:
+            reference.integers(len(net.honest))  # the eclipse target's draw comes first
+        effects, state = bfi_step(cfg, state, net, rng)
+        assert state.bfi_phase == phase
+        assert effects.conflicting == {int(b) for b in byz if reference.random() < rate}
+        assert rng.bit_generator.state == reference.bit_generator.state
+        marked += len(effects.conflicting)
+    assert 0 < marked < 40 * len(byz)
 
 
 # --- TDP ----------------------------------------------------------------
@@ -312,8 +335,6 @@ def test_perturbations_preserve_profile_invariants():
 def test_perturbation_validation():
     with pytest.raises(ValueError):
         Perturbation(0, PerturbationKind.BOOST_ALPHA, 0.0)
-    with pytest.raises(ValueError):
-        Perturbation(0, PerturbationKind.CORRUPT_OBSERVATION, 1.0)
 
 
 def test_gate_scaling_refuses_rejected_emitters():
@@ -340,7 +361,8 @@ def test_attack_driver_routes_channels():
     net.step_index = 0
     effects = attack.step(net, np.random.default_rng(0))
     assert isinstance(effects.conflicting, set)
-    assert len(effects.corruption) == 1
+    node, _ = effects.corruption
+    assert not net.malicious_mask[node]
     assert all(
         p.kind in (PerturbationKind.BOOST_ALPHA, PerturbationKind.PENALIZE_BETA)
         for p in effects.perturbations

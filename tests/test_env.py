@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from trustsim.config import ExperimentConfig
 from trustsim.env import (
     ACTION_MULTIPLIERS,
+    HIGH_TRUST_CUTOFF,
+    LOW_TRUST_CUTOFF,
     Action,
     FEATURE_INDEX,
     History,
@@ -56,22 +58,50 @@ def test_state_order_statistics_sanity():
     assert np.all(np.isfinite(s))
 
 
+def reference_skewness(values, var):
+    """Fisher g1 through ndarray.mean, as extract_state computed it before its lean form."""
+    if var <= 0.0:
+        return 0.0
+    centered = values - values.mean()
+    m2 = float((centered**2).mean())
+    m3 = float((centered**3).mean())
+    if m2 <= 0.0:
+        return 0.0
+    return m3 / m2**1.5
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     n=st.sampled_from([2, 3, 16, 17]),
     seed=st.integers(0, 2**32 - 1),
-    ties=st.booleans(),
+    ties=st.sampled_from(["none", "half", "all"]),
 )
 def test_state_order_statistics_match_numpy_bit_for_bit(n, seed, ties):
     rng = np.random.default_rng(seed)
     alphas = rng.uniform(0.5, 40.0, n)
     betas = rng.uniform(0.5, 40.0, n)
-    if ties:  # repeated trust values
-        alphas[: n // 2] = alphas[0]
-        betas[: n // 2] = betas[0]
-    net = NetworkState(alphas=alphas, betas=betas, malicious_mask=np.arange(n) % 2 == 0)
+    tied = {"none": 0, "half": n // 2, "all": n}[ties]  # repeated trust values
+    alphas[:tied] = alphas[0]
+    betas[:tied] = betas[0]
+    mask = np.arange(n) % 2 == 0
+    net = NetworkState(alphas=alphas, betas=betas, malicious_mask=mask)
     s = extract_state(net, History())
     taus = net.trust_scores()
+
+    mean = float(np.mean(taus))
+    var = float(np.var(taus, ddof=1))
+    assert s[FEATURE_INDEX["mean_trust"]] == mean
+    assert s[FEATURE_INDEX["variance"]] == var
+    assert s[FEATURE_INDEX["skewness"]] == reference_skewness(taus, var)
+    assert s[FEATURE_INDEX["coeff_variation"]] == float(np.sqrt(var) / mean)
+    assert s[FEATURE_INDEX["low_trust_frac"]] == float((taus < LOW_TRUST_CUTOFF).mean())
+    assert s[FEATURE_INDEX["high_trust_frac"]] == float((taus > HIGH_TRUST_CUTOFF).mean())
+    assert s[FEATURE_INDEX["collusion_score"]] == collusion_score(
+        float(taus[~mask].mean()), float(taus[mask].mean())
+    )
+    if ties == "all" and n in (2, 16):  # the sum of n equal values is exact, so is the mean
+        assert s[FEATURE_INDEX["variance"]] == 0.0 and s[FEATURE_INDEX["skewness"]] == 0.0
+
     q25, q75 = np.percentile(taus, [25.0, 75.0], method="linear")
     assert s[FEATURE_INDEX["median"]] == np.median(taus)
     assert s[FEATURE_INDEX["iqr"]] == q75 - q25
@@ -83,7 +113,7 @@ def test_state_order_statistics_match_numpy_bit_for_bit(n, seed, ties):
 def test_state_eclipse_corruption_changes_observation_only():
     net = degenerate_net()
     clean = extract_state(net, History())
-    corrupted = extract_state(net, History(), corruption={0: 0.95})
+    corrupted = extract_state(net, History(), corruption=(0, 0.95))
     assert corrupted[FEATURE_INDEX["range"]] > clean[FEATURE_INDEX["range"]]
     assert net.trust_scores()[0] == pytest.approx(0.5)  # actual trust untouched
 
