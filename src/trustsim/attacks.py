@@ -114,7 +114,7 @@ class Perturbation:
 
     target: int
     kind: PerturbationKind
-    magnitude: float = 1.0
+    magnitude: float
     emitters: tuple | None = None
 
     def __post_init__(self):
