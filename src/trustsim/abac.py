@@ -365,14 +365,6 @@ class SimulatedFheBackend:
         return bool(obj["decision"])
 
 
-def encrypt_attributes(attrs: AttributeSet, backend) -> Ciphertext:
-    return backend.encrypt_attributes(attrs)
-
-
-def eval_policy_encrypted(policy: Policy, ct: Ciphertext, backend) -> Ciphertext:
-    return backend.eval_policy(policy, ct)
-
-
 # --- the gate used by the simulation ----------------------------------------
 
 

@@ -9,10 +9,8 @@ from .nn import (
     AgentHyperparams,
     DuelingNetwork,
     ReplayBuffer,
-    double_q_target,
     double_q_targets,
     epsilon_greedy,
-    sync_target,
     td_loss_and_grads,
     train_step,
 )

@@ -11,15 +11,12 @@ from .nn import (
     DuelingNetwork,
     ReplayBuffer,
     epsilon_greedy,
-    sync_target,
     train_step,
 )
 
 
 class DqnAgent:
     """Single learning agent: replay, double-Q targets, periodic target sync."""
-
-    kind = "dqn"
 
     def __init__(
         self,
@@ -39,9 +36,6 @@ class DqnAgent:
         self._decay = hp.episode_eps_decay(episodes_total)
         self.total_steps = 0
 
-    def begin_episode(self, episode_index: int) -> None:
-        pass
-
     def act(self, state: np.ndarray) -> int:
         return epsilon_greedy(self.online.forward(state), self.eps, self.rng)
 
@@ -50,7 +44,7 @@ class DqnAgent:
         self.total_steps += 1
         train_step(self.online, self.target, self.buffer, self.optimizer, self.hp, self.rng)
         if self.total_steps % self.hp.target_sync_every == 0:
-            sync_target(self.online, self.target)
+            self.target.copy_from(self.online)
 
     def end_episode(self) -> None:
         self.eps = max(self.hp.eps_min, self.eps * self._decay)

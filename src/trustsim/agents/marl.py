@@ -28,7 +28,6 @@ from .nn import (
     ReplayBuffer,
     double_q_targets,
     epsilon_greedy,
-    sync_target,
     td_loss_and_grads,
 )
 
@@ -44,8 +43,6 @@ def majority_vote(votes) -> int:
 
 class MarlPool:
     """N independent voters over one shared parameter store."""
-
-    kind = "marl"
 
     def __init__(
         self,
@@ -72,9 +69,6 @@ class MarlPool:
         self.total_steps = 0
         self._last_votes: list[int] | None = None
 
-    def begin_episode(self, episode_index: int) -> None:
-        pass
-
     def vote(self, state: np.ndarray) -> list[int]:
         qvalues = self.acting.forward(state)
         return [epsilon_greedy(qvalues, self.eps, r) for r in self.agent_rngs]
@@ -95,7 +89,7 @@ class MarlPool:
         if self.total_steps % self.hp.marl_sync_every == 0:
             self.acting.copy_from(self.online)
         if self.total_steps % self.hp.target_sync_every == 0:
-            sync_target(self.online, self.target)
+            self.target.copy_from(self.online)
 
     def pooled_batch(self):
         """Equal draws from each nonempty buffer, topped up round-robin.

@@ -253,12 +253,6 @@ class Adam:
         self.params -= s1
 
 
-def sync_target(net: DuelingNetwork, target_net: DuelingNetwork) -> DuelingNetwork:
-    """Hard copy of online parameters into the target network."""
-    target_net.copy_from(net)
-    return target_net
-
-
 def double_q_targets(
     rewards: np.ndarray,
     next_states: np.ndarray,
@@ -273,22 +267,6 @@ def double_q_targets(
     q_target = target.forward(next_states)
     boot = q_target[np.arange(len(a_star)), a_star]
     return rewards + discount * boot * (1.0 - terminals)
-
-
-def double_q_target(
-    r: float,
-    s_next: np.ndarray,
-    terminal: bool,
-    online: DuelingNetwork,
-    target: DuelingNetwork,
-    discount: float,
-) -> float:
-    if terminal:
-        return float(r)
-    out = double_q_targets(
-        np.array([r]), np.asarray(s_next)[None, :], np.array([0.0]), online, target, discount
-    )
-    return float(out[0])
 
 
 def td_loss_and_grads(

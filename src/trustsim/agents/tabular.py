@@ -110,8 +110,6 @@ def tabular_update(
 class TabularAgent:
     """Epsilon-greedy tabular learner; epsilon decays once per episode."""
 
-    kind = "tabular"
-
     def __init__(self, hp: AgentHyperparams, rng: np.random.Generator, episodes_total: int = 50):
         self.hp = hp
         self.rng = rng
@@ -119,9 +117,6 @@ class TabularAgent:
         self.q = QTable()
         self.eps = hp.eps_start
         self._decay = hp.episode_eps_decay(episodes_total)
-
-    def begin_episode(self, episode_index: int) -> None:
-        pass
 
     def act(self, state: np.ndarray) -> int:
         key = discretize(state, self.spec)

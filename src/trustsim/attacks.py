@@ -2,12 +2,13 @@
 
 Attacks never write trust scores directly.  Every trust effect is emitted
 as a perturbation in evidence space (alpha boosts, beta penalties), so the
-Beta-profile invariants survive any attack schedule.  A step returns them
-in ``StepEffects`` beside two channels that carry no evidence, both set
-only by BFI: ``conflicting``, the nodes that equivocate in the next
-consensus round, and ``corruption``, one ``(node, value)`` pair that
+Beta-profile invariants survive any attack schedule.  Every family is one
+function ``(cfg, state, net, rng) -> list[Perturbation]`` that updates its
+``AttackState`` in place.  Two effects carry no evidence.  BFI's eclipse
+leaves one ``(node, value)`` pair on ``AttackState.bfi_corruption``, which
 replaces that node's trust in the agent's state features without touching
-actual trust.
+actual trust.  Activated TDP sleepers pose as honest validators: they vote
+Valid in consensus (``Attack.posing_voters``).
 
 Families:
 
@@ -19,7 +20,9 @@ Families:
   tracking on the change in mean malicious trust.
 * BFI  - equivocation, sybil-amplified endorsements, a standing eclipse
   target, periodic coordinated strikes, and phase switching
-  (AGGRESSIVE / STRATEGIC / RECOVERY) on coalition trust.
+  (AGGRESSIVE / STRATEGIC / RECOVERY) on coalition trust.  A Byzantine
+  delegate never votes Valid, so an equivocating vote draws the evidence
+  of an Invalid one and needs no channel of its own.
 * TDP  - sleepers stay inert until the activation episode, then hammer the
   top honest nodes every step while boosting each other.
 """
@@ -31,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .network import NetworkState, Vote
+from .network import NetworkState
 
 FAMILIES = ("nma", "cra", "aaa", "bfi", "tdp")
 
@@ -62,8 +65,6 @@ class AttackConfig:
     aaa_factor: float = 0.12
     aaa_burst_period: int = 10
     # BFI
-    bfi_equivocation_rate: float = 0.90
-    bfi_recovery_equivocation_rate: float = 0.2
     bfi_sybil_k: int = 4
     bfi_window: int = 6
     bfi_low_trust: float = 0.4
@@ -82,8 +83,6 @@ class AttackConfig:
             "nma_p_attack",
             "cra_intensity",
             "cra_target_fraction",
-            "bfi_equivocation_rate",
-            "bfi_recovery_equivocation_rate",
             "tdp_intensity",
             "tdp_target_ratio",
         ):
@@ -123,17 +122,7 @@ class Perturbation:
 
 
 @dataclass
-class StepEffects:
-    """One attack step: evidence perturbations, equivocating nodes and the eclipse ``(node, value)``."""
-
-    perturbations: list
-    conflicting: set = field(default_factory=set)
-    corruption: tuple | None = None
-
-
-@dataclass
 class AttackState:
-    family: str
     # AAA memory
     aaa_scores: np.ndarray = field(default_factory=lambda: np.zeros(len(AAA_STRATEGIES)))
     aaa_eps: float = 1.0
@@ -142,13 +131,14 @@ class AttackState:
     # BFI memory
     bfi_phase: str = "STRATEGIC"
     bfi_eclipse_target: int | None = None
+    bfi_corruption: tuple | None = None  # the eclipse's (node, value) for the next observation
     bfi_endorse_cursor: int = 0
     # TDP memory
     tdp_activated: bool = False
 
 
 def new_state(cfg: AttackConfig) -> AttackState:
-    return AttackState(family=cfg.family, aaa_eps=cfg.aaa_eps_start)
+    return AttackState(aaa_eps=cfg.aaa_eps_start)
 
 
 def _top_trust(net: NetworkState, indices: np.ndarray, count: int) -> list[int]:
@@ -269,12 +259,10 @@ def _aaa_apply_strategy(
     return perts
 
 
-def aaa_step(
-    cfg: AttackConfig, state: AttackState, net: NetworkState, rng
-) -> tuple[list[Perturbation], AttackState]:
+def aaa_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> list[Perturbation]:
     malicious = net.malicious
     if len(malicious) == 0:
-        return [], state
+        return []
     mean_now = float(net.trust_scores()[malicious].mean())
     if state.aaa_prev_strategy is not None:
         delta = mean_now - state.aaa_prev_mean_trust
@@ -291,19 +279,17 @@ def aaa_step(
     perts = _aaa_apply_strategy(cfg, strategy, net, rng)
     state.aaa_prev_strategy = strategy
     state.aaa_prev_mean_trust = mean_now
-    return perts, state
+    return perts
 
 
 # --- BFI ---------------------------------------------------------------------
 
 
-def bfi_step(
-    cfg: AttackConfig, state: AttackState, net: NetworkState, rng
-) -> tuple[StepEffects, AttackState]:
+def bfi_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> list[Perturbation]:
     byz = net.malicious
     honest = net.honest
     if len(byz) == 0:
-        return StepEffects([]), state
+        return []
     taus = net.trust_scores()
 
     if state.bfi_eclipse_target is None and len(honest):
@@ -317,13 +303,10 @@ def bfi_step(
     else:
         state.bfi_phase = "STRATEGIC"
 
-    rate = (
-        cfg.bfi_recovery_equivocation_rate if state.bfi_phase == "RECOVERY" else cfg.bfi_equivocation_rate
-    )
-
-    # one draw per Byzantine node in index order: the same doubles as one
-    # scalar rng.random() per node
-    conflicting = set(byz[rng.random(len(byz)) < rate].tolist())
+    # The equivocation draw: one double per Byzantine node.  An equivocating
+    # vote draws the evidence of an Invalid one, so nothing reads the draw,
+    # but the golden digests lock the attack stream, and so its length.
+    rng.random(len(byz))
 
     perts: list[Perturbation] = []
 
@@ -352,31 +335,28 @@ def bfi_step(
                 )
             )
 
-    corruption = None
-    if state.bfi_eclipse_target is not None:
-        target = state.bfi_eclipse_target
-        corruption = (target, min(max(1.0 - float(taus[target]), 0.01), 0.99))
-    return StepEffects(perts, conflicting, corruption), state
+    target = state.bfi_eclipse_target
+    if target is not None:
+        state.bfi_corruption = (target, min(max(1.0 - float(taus[target]), 0.01), 0.99))
+    return perts
 
 
 # --- TDP ---------------------------------------------------------------------
 
 
-def tdp_step(
-    cfg: AttackConfig, state: AttackState, net: NetworkState, rng
-) -> tuple[list[Perturbation], AttackState]:
+def tdp_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> list[Perturbation]:
     if net.episode_index >= cfg.tdp_activation_episode:
         state.tdp_activated = True  # monotone: never cleared
     if not state.tdp_activated:
         # dormant sleepers add nothing to the evidence stream: a dormant-phase
         # run is indistinguishable from one with no attack attached
-        return [], state
+        return []
 
     sleepers = net.malicious
     honest = net.honest
     m = len(sleepers)
     if m == 0:
-        return [], state
+        return []
     perts: list[Perturbation] = []
 
     all_sleepers = tuple(int(i) for i in sleepers)
@@ -390,10 +370,13 @@ def tdp_step(
         for s in sleepers:
             peers = tuple(i for i in all_sleepers if i != int(s))
             perts.append(Perturbation(int(s), PerturbationKind.BOOST_ALPHA, boost, emitters=peers))
-    return perts, state
+    return perts
 
 
 # --- driver used by the environment ------------------------------------------
+
+
+FAMILY_STEPS = {"nma": nma_step, "cra": cra_step, "aaa": aaa_step, "bfi": bfi_step, "tdp": tdp_step}
 
 
 class Attack:
@@ -403,32 +386,19 @@ class Attack:
         self.cfg = cfg
         self.state = new_state(cfg)
 
-    def step(self, net: NetworkState, rng) -> StepEffects:
-        cfg = self.cfg
-        if cfg.family == "bfi":
-            effects, self.state = bfi_step(cfg, self.state, net, rng)
-            return effects
-        if cfg.family == "nma":
-            perts = nma_step(cfg, self.state, net, rng)
-        elif cfg.family == "cra":
-            perts = cra_step(cfg, self.state, net, rng)
-        elif cfg.family == "aaa":
-            perts, self.state = aaa_step(cfg, self.state, net, rng)
-        elif cfg.family == "tdp":
-            perts, self.state = tdp_step(cfg, self.state, net, rng)
-        else:
-            perts = []
-        return StepEffects(perts)
+    def step(self, net: NetworkState, rng) -> tuple[list[Perturbation], tuple | None]:
+        """This step's perturbations and the eclipse's ``(node, value)``, or ``None``."""
+        family_step = FAMILY_STEPS.get(self.cfg.family)
+        perts = family_step(self.cfg, self.state, net, rng) if family_step else []
+        return perts, self.state.bfi_corruption
 
-    def vote_overrides(self, net: NetworkState) -> dict:
-        """Consensus vote behavior beyond the Invalid default.
+    def posing_voters(self, net: NetworkState) -> np.ndarray | None:
+        """The malicious nodes that vote Valid in consensus, or ``None``.
 
-        Activated sleepers pose as honest validators (vote Valid) while the
-        out-of-band perturbations do the damage.
+        Activated sleepers pose as honest validators while the out-of-band
+        perturbations do the damage.
         """
-        if self.cfg.family == "tdp" and self.state.tdp_activated:
-            return {int(i): Vote.VALID for i in net.malicious}
-        return {}
+        return net.malicious if self.state.tdp_activated else None
 
 
 def apply_perturbations(net: NetworkState, perturbations, accepted=None, evidence_log=None) -> None:

@@ -19,6 +19,7 @@ import argparse
 import sys
 from dataclasses import replace
 
+from .attacks import FAMILIES
 from .config import (
     AGENTS,
     ATTACKS,
@@ -28,7 +29,7 @@ from .config import (
     apply_override,
     load_config_file,
 )
-from .runner import run_experiment, run_matrix
+from .runner import run_experiment, run_matrix, tail_mean_f1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -90,12 +91,9 @@ def main(argv=None) -> int:
 
         if args.matrix:
             agents = _parse_list(args.agent, AGENTS, "agent") if args.agent else list(AGENTS)
-            attacks = (
-                _parse_list(args.attack, ATTACKS, "attack") if args.attack else ["nma", "cra", "aaa", "bfi", "tdp"]
-            )
+            attacks = _parse_list(args.attack, ATTACKS, "attack") if args.attack else list(FAMILIES)
             seeds = _parse_seeds(args.seeds) if args.seeds else list(MATRIX_SEEDS)
             cfg = replace(cfg, **updates)
-            print(f"matrix: {len(agents)} agents x {len(attacks)} attacks x {len(seeds)} seeds -> {cfg.out}")
             results, failures = run_matrix(cfg, agents, attacks, seeds, workers=args.workers, quiet=False)
             print(f"wrote {cfg.out}/matrix_f1.csv ({len(failures)} failed runs)")
             return 1 if failures else 0
@@ -110,9 +108,7 @@ def main(argv=None) -> int:
             print(f"warning: {warning}", file=sys.stderr)
         print(f"run: agent={cfg.agent} attack={cfg.attack} episodes={episodes} seed={cfg.seed} -> {cfg.out}")
         records = run_experiment(cfg, quiet=False)
-        tail = records[-min(10, len(records)):]
-        mean_f1 = sum(r.f1 for r in tail) / len(tail)
-        print(f"done: {len(records)} episodes, tail-10 mean F1 = {mean_f1:.3f}")
+        print(f"done: {len(records)} episodes, tail-10 mean F1 = {tail_mean_f1(records):.3f}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

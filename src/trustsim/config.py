@@ -128,27 +128,13 @@ def _field_type(dc_type, name: str):
     return None
 
 
-_TOP_TYPES = {
-    "agent": str,
-    "attack": str,
-    "episodes": int,
-    "steps": int,
-    "seed": int,
-    "n_nodes": int,
-    "malicious_ratio": float,
-    "out": str,
-    "gate_mode": str,
-    "policy_file": str,
-    "log_evidence": bool,
-    "allow_short_tdp": bool,
-}
-
-
 def apply_setting(cfg: ExperimentConfig, section: str, key: str, raw: str) -> ExperimentConfig:
     if section == "experiment":
-        if key not in _TOP_TYPES:
+        # the nested configs are sections of their own, not values
+        ftype = _field_type(ExperimentConfig, key)
+        if ftype is None or dataclasses.is_dataclass(getattr(cfg, key)):
             raise ConfigError(f"unknown key [experiment] {key}")
-        return replace(cfg, **{key: _coerce(raw, _TOP_TYPES[key])})
+        return replace(cfg, **{key: _coerce(raw, ftype)})
     if section not in _SECTION_TARGETS or _SECTION_TARGETS[section] is None:
         raise ConfigError(f"unknown config section [{section}]")
     attr, dc_type = _SECTION_TARGETS[section]

@@ -264,7 +264,6 @@ class Environment:
         self.rng_attack = rng_attack
         self.evidence_log = evidence_log
         self.history = History()
-        self.pending_conflicting: set = set()
         self.pending_corruption: tuple | None = None
         self.kappas: list[float] = []
         self.rewards: list[float] = []
@@ -272,7 +271,6 @@ class Environment:
     def begin_episode(self, episode_index: int) -> None:
         self.net.episode_index = episode_index
         self.history = History()
-        self.pending_conflicting = set()
         self.pending_corruption = None
         self.kappas = []
         self.rewards = []
@@ -299,29 +297,20 @@ class Environment:
         outcome = None
         if k > 0:
             delegates = sample_top_k(net.alphas, net.betas, k, self.rng_consensus, candidates=accepted)
-            vote_overrides = self.attack.vote_overrides(net) if self.attack else {}
             outcome = run_consensus_round(
                 net,
                 delegates,
                 self.rng_consensus,
                 self.update_cfg,
-                vote_overrides=vote_overrides,
-                conflicting=self.pending_conflicting,
+                posing=self.attack.posing_voters(net) if self.attack else None,
                 detect_p=self.cfg.detect_p,
                 batch_size=self.cfg.batch_size,
                 evidence_log=self.evidence_log,
             )
-        self.pending_conflicting = set()
 
         if self.attack is not None:
-            effects = self.attack.step(net, self.rng_attack)
-            apply_perturbations(
-                net, effects.perturbations, accepted=set(accepted.tolist()), evidence_log=self.evidence_log
-            )
-            self.pending_conflicting = effects.conflicting
-            self.pending_corruption = effects.corruption
-        else:
-            self.pending_corruption = None
+            perts, self.pending_corruption = self.attack.step(net, self.rng_attack)
+            apply_perturbations(net, perts, accepted=set(accepted.tolist()), evidence_log=self.evidence_log)
 
         block = outcome.block_created if outcome else False
         verified = outcome.verified_tx if outcome else 0
@@ -359,7 +348,6 @@ def run_episode(
     if steps < 1:
         raise ValueError("steps must be positive")
     env.begin_episode(episode_index)
-    agent.begin_episode(episode_index)
 
     state = env.observe()
     for t in range(steps):

@@ -2,14 +2,14 @@
 
 Ground truth is simple: every transaction batch offered to a round is
 valid.  Honest delegates therefore vote Valid.  Malicious delegates vote
-according to the active attack's behavior flags, defaulting to Invalid.
+Invalid, unless the active attack has them pose as honest validators.
 A block forms when Valid votes reach the 2/3 quorum, mirroring BFT
 conventions.
 
 Evidence rules per round:
 
 * Valid voters in a successful round earn Valid evidence.
-* Invalid and Conflicting voters are caught misbehaving with probability
+* Invalid voters are caught misbehaving with probability
   ``detect_p``; a caught vote draws Malicious evidence (beta increment plus
   multiplicative alpha decay), an uncaught one draws plain Invalid
   evidence.  Without the escalation path, coordinated alpha inflation
@@ -19,18 +19,11 @@ Evidence rules per round:
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .trust import EvidenceKind, TrustUpdateConfig, round_half_up
-
-
-class Vote(enum.Enum):
-    VALID = "valid"
-    INVALID = "invalid"
-    CONFLICTING = "conflicting"
 
 
 @dataclass
@@ -128,8 +121,7 @@ def run_consensus_round(
     delegates,
     rng: np.random.Generator,
     update_cfg: TrustUpdateConfig,
-    vote_overrides: dict | None = None,
-    conflicting: set | None = None,
+    posing: np.ndarray | None = None,
     detect_p: float = 0.5,
     batch_size: int = 10,
     evidence_log=None,
@@ -137,8 +129,9 @@ def run_consensus_round(
     """Run one voting round over the current transaction batch and apply evidence.
 
     Each delegate draws at most one piece of evidence, so the array updates
-    below equal ``apply_evidence`` node by node.  The caught-or-not draws
-    are taken in sorted delegate order, one per non-Valid voter.
+    below equal ``apply_evidence`` node by node.  ``posing`` indexes the
+    malicious nodes that vote Valid.  The caught-or-not draws are taken in
+    sorted delegate order, one per Invalid voter.
     """
     delegates = np.sort(np.asarray(delegates, dtype=np.int64))
     if len(delegates) == 0:
@@ -148,13 +141,9 @@ def run_consensus_round(
     if (delegates[1:] == delegates[:-1]).any():
         raise ValueError("delegates must be distinct")
 
-    # Honest nodes vote Valid.  A malicious node does only when the attack
-    # overrides its vote to Valid and it is not equivocating; otherwise it
-    # votes Conflicting or Invalid, which draw the same evidence.
     valid = ~state.malicious_mask
-    if vote_overrides:
-        conflicting = conflicting or set()
-        valid[[d for d, v in vote_overrides.items() if v is Vote.VALID and d not in conflicting]] = True
+    if posing is not None:
+        valid[posing] = True
     valid = valid[delegates]
     block = int(np.count_nonzero(valid)) >= quorum(len(delegates))
     verified = batch_size if block else 0

@@ -162,8 +162,15 @@ def run_matrix(
     seeds = list(seeds)
     if not agents or not attacks or not seeds:
         raise ConfigError("matrix needs nonempty agent, attack, and seed lists")
+    for what, items in (("agent", agents), ("attack", attacks), ("seed", seeds)):
+        if len(set(items)) < len(items):
+            raise ConfigError(f"matrix {what} list repeats an entry: {items}")
+    if workers < 1:
+        raise ConfigError(f"matrix workers must be >= 1, got {workers}")
 
     out = Path(base_cfg.out)
+    if not quiet:
+        print(f"matrix: {len(agents)} agents x {len(attacks)} attacks x {len(seeds)} seeds -> {base_cfg.out}")
     out.mkdir(parents=True, exist_ok=True)
     base_kwargs = {
         "steps": base_cfg.steps,

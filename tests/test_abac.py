@@ -17,8 +17,6 @@ from trustsim.abac import (
     ROLE_VALIDATOR,
     SimulatedFheBackend,
     compile_policy,
-    encrypt_attributes,
-    eval_policy_encrypted,
     eval_policy_plain,
     parse_policy,
     quantize_trust,
@@ -34,42 +32,42 @@ ATTRS = AttributeSet({"trust": 50, "role": 2, "clearance": 3, "permissions": 7})
 
 
 def test_encrypt_decrypt_round_trip(backend):
-    ct = encrypt_attributes(ATTRS, backend)
+    ct = backend.encrypt_attributes(ATTRS)
     assert backend.decrypt_attributes(ct).values == ATTRS.values
 
 
 def test_encrypt_empty_attrs_rejected(backend):
     with pytest.raises(AbacError):
-        encrypt_attributes(AttributeSet({}), backend)
+        backend.encrypt_attributes(AttributeSet({}))
 
 
 def test_encrypt_out_of_range_rejected(backend):
     with pytest.raises(AbacError):
-        encrypt_attributes(AttributeSet({"trust": 101}), backend)
+        backend.encrypt_attributes(AttributeSet({"trust": 101}))
 
 
 def test_blinded_payloads_differ(backend):
-    payloads = {encrypt_attributes(ATTRS, backend).payload for _ in range(8)}
+    payloads = {backend.encrypt_attributes(ATTRS).payload for _ in range(8)}
     assert len(payloads) == 8
 
 
 def test_eval_encrypted_accepts(backend):
     policy = parse_policy("(trust >= 45) & (role == 2)")
-    ct = encrypt_attributes(ATTRS, backend)
-    assert backend.decrypt_decision(eval_policy_encrypted(policy, ct, backend)) is True
+    ct = backend.encrypt_attributes(ATTRS)
+    assert backend.decrypt_decision(backend.eval_policy(policy, ct)) is True
 
 
 def test_eval_encrypted_rejects_low_clearance(backend):
     policy = parse_policy("clearance >= 3")
-    ct = encrypt_attributes(AttributeSet({"clearance": 2}), backend)
-    assert backend.decrypt_decision(eval_policy_encrypted(policy, ct, backend)) is False
+    ct = backend.encrypt_attributes(AttributeSet({"clearance": 2}))
+    assert backend.decrypt_decision(backend.eval_policy(policy, ct)) is False
 
 
 def test_eval_unknown_attribute_errors(backend):
     policy = parse_policy("missing >= 1")
-    ct = encrypt_attributes(ATTRS, backend)
+    ct = backend.encrypt_attributes(ATTRS)
     with pytest.raises(AbacError):
-        eval_policy_encrypted(policy, ct, backend)
+        backend.eval_policy(policy, ct)
 
 
 def test_plain_eval_boolean_combinators():
@@ -137,8 +135,8 @@ def test_encrypted_path_parity_with_plaintext_oracle(policy, trust, role, cleara
         {"trust": trust, "role": role, "clearance": clearance, "permissions": permissions}
     )
     expected = eval_policy_plain(policy, attrs)
-    ct = encrypt_attributes(attrs, backend)
-    decision = backend.decrypt_decision(eval_policy_encrypted(policy, ct, backend))
+    ct = backend.encrypt_attributes(attrs)
+    decision = backend.decrypt_decision(backend.eval_policy(policy, ct))
     assert decision == expected
     row = np.array([[attrs.values[name] for name in NODE_ATTRIBUTES]], dtype=np.int64)
     compiled = compile_policy(policy, tuple(NODE_ATTRIBUTES))(row)
@@ -179,7 +177,7 @@ def test_gate_role_requirement():
 
 def test_ciphertext_backend_tag_enforced(backend):
     other = SimulatedFheBackend(seed=9)
-    ct = encrypt_attributes(ATTRS, backend)
+    ct = backend.encrypt_attributes(ATTRS)
     ct_other = type(ct)("other-backend", ct.payload)
     with pytest.raises(AbacError):
         other.decrypt_attributes(ct_other)
@@ -214,8 +212,8 @@ def per_node_accepted(gate: PolicyGate, backend: SimulatedFheBackend, trusts) ->
     """Reference: every node through encrypt -> eval -> decrypt on its own."""
     decisions = []
     for tau in trusts:
-        ct = encrypt_attributes(gate.node_attributes(float(tau)), backend)
-        decisions.append(backend.decrypt_decision(eval_policy_encrypted(gate.policy, ct, backend)))
+        ct = backend.encrypt_attributes(gate.node_attributes(float(tau)))
+        decisions.append(backend.decrypt_decision(backend.eval_policy(gate.policy, ct)))
     return np.flatnonzero(np.array(decisions, dtype=bool))
 
 

@@ -15,8 +15,6 @@ import pytest
 from trustsim.abac import (
     AttributeSet,
     SimulatedFheBackend,
-    encrypt_attributes,
-    eval_policy_encrypted,
     eval_policy_plain,
 )
 from trustsim.agents.nn import DuelingNetwork, double_q_targets
@@ -176,8 +174,8 @@ def test_acceptance_5_abac_parity():
             }
         )
         plain = eval_policy_plain(policy, attrs)
-        ct = encrypt_attributes(attrs, backend)
-        enc = backend.decrypt_decision(eval_policy_encrypted(policy, ct, backend))
+        ct = backend.encrypt_attributes(attrs)
+        enc = backend.decrypt_decision(backend.eval_policy(policy, ct))
         agree += plain == enc
     assert agree == 1_000
     print("ACCEPTANCE 5 abac parity: PASS (1000/1000 encrypted decisions match plaintext)")

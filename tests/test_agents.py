@@ -14,14 +14,12 @@ from trustsim.agents import (
     default_spec,
     discretize,
     discretize_value,
-    double_q_target,
     double_q_targets,
     epsilon_greedy,
     load_agent,
     majority_vote,
     save_agent,
     save_checkpoint,
-    sync_target,
     tabular_update,
     td_loss_and_grads,
     train_step,
@@ -189,7 +187,8 @@ def test_forward_raises_on_nonfinite():
 
 def test_double_q_terminal_returns_reward():
     net, tgt = tiny_net(1), tiny_net(2)
-    assert double_q_target(5.0, np.zeros(16), True, net, tgt, 0.99) == 5.0
+    out = double_q_targets(np.array([5.0]), np.zeros((1, 16)), np.array([1.0]), net, tgt, 0.99)
+    assert out[0] == 5.0
 
 
 def test_double_q_worked_example():
@@ -202,8 +201,8 @@ def test_double_q_worked_example():
 
     online = Stub([0.1, 0.9, 0.5])
     target = Stub([0.2, 0.4, 0.6])
-    out = double_q_target(1.0, np.zeros(16), False, online, target, 0.99)
-    assert out == pytest.approx(1.0 + 0.99 * 0.4)
+    out = double_q_targets(np.array([1.0]), np.zeros((1, 16)), np.array([0.0]), online, target, 0.99)
+    assert out[0] == pytest.approx(1.0 + 0.99 * 0.4)
 
 
 @settings(max_examples=200, deadline=None)
@@ -367,10 +366,10 @@ def test_sync_target_copies_and_is_idempotent():
     net, tgt = tiny_net(1), tiny_net(2)
     s = np.random.default_rng(0).normal(size=16)
     assert not np.allclose(net.forward(s), tgt.forward(s))
-    sync_target(net, tgt)
+    tgt.copy_from(net)
     assert np.allclose(net.forward(s), tgt.forward(s))
     snapshot = tgt.forward(s).copy()
-    sync_target(net, tgt)
+    tgt.copy_from(net)
     assert np.array_equal(tgt.forward(s), snapshot)
 
 

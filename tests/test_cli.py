@@ -250,8 +250,24 @@ def test_cli_rejects_bad_agent(capsys):
         ["--set", "experiment.malicious_ratio=1.5"],
         ["--set", "agent_hyperparams.batch_size=abc"],
         ["--matrix", "--seeds", "4x"],
+        ["--set", "experiment.trust=1"],
+        ["--matrix", "--agent", "rl,rl", "--attack", "nma", "--seeds", "42"],
+        ["--matrix", "--agent", "rl", "--attack", "nma,nma", "--seeds", "42"],
+        ["--matrix", "--agent", "rl", "--attack", "nma", "--seeds", "42,42"],
+        ["--matrix", "--agent", "rl", "--attack", "nma", "--seeds", "42", "--workers", "-3"],
+        ["--matrix", "--agent", "rl", "--attack", "nma", "--seeds", "42", "--workers", "0"],
     ],
-    ids=["ratio-out-of-range", "int-parse", "matrix-seeds"],
+    ids=[
+        "ratio-out-of-range",
+        "int-parse",
+        "matrix-seeds",
+        "nested-config-as-value",
+        "matrix-repeated-agent",
+        "matrix-repeated-attack",
+        "matrix-repeated-seed",
+        "matrix-negative-workers",
+        "matrix-zero-workers",
+    ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert main(argv + ["--episodes", "1", "--steps", "5", "--out", str(tmp_path / "o")]) == 2
@@ -259,6 +275,7 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert "Traceback" not in captured.err
+    assert "matrix:" not in captured.out
     assert not (tmp_path / "o").exists()
 
 

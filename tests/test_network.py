@@ -3,7 +3,6 @@ import pytest
 
 from trustsim.network import (
     NetworkState,
-    Vote,
     init_network,
     quorum,
     reset_profiles,
@@ -127,21 +126,15 @@ def test_round_detected_misbehavior_draws_malicious_evidence():
     assert net.alphas[0] == pytest.approx(a0 * CFG.decay_gamma)
 
 
-def test_conflicting_votes_counted_not_valid():
+def test_malicious_votes_invalid_unless_posing():
     net = net_with_malicious(16, 0)
-    out = run_consensus_round(
-        net, range(16), np.random.default_rng(0), CFG, conflicting={0}
-    )
+    out = run_consensus_round(net, range(16), np.random.default_rng(0), CFG)
     assert out.delegates.tolist() == list(range(16))
     assert not out.valid_votes[0] and out.valid_votes[1:].all()
     assert out.block_created  # 15 of 16 >= 11
-    # a Valid override makes the node vote Valid, unless it equivocates
-    posing = run_consensus_round(net, range(16), np.random.default_rng(0), CFG, vote_overrides={0: Vote.VALID})
+    # a posing node votes Valid
+    posing = run_consensus_round(net, range(16), np.random.default_rng(0), CFG, posing=np.array([0]))
     assert posing.valid_votes.all()
-    both = run_consensus_round(
-        net, range(16), np.random.default_rng(0), CFG, vote_overrides={0: Vote.VALID}, conflicting={0}
-    )
-    assert not both.valid_votes[0]
 
 
 def test_round_rejects_repeated_or_out_of_range_delegates():
@@ -151,20 +144,14 @@ def test_round_rejects_repeated_or_out_of_range_delegates():
             run_consensus_round(net, bad, np.random.default_rng(0), CFG)
 
 
-def reference_round(alphas, betas, mask, delegates, rng, overrides, conflicting, detect_p, cfg):
+def reference_round(alphas, betas, mask, delegates, rng, posing, detect_p, cfg):
     """The round node by node through ``apply_evidence``, as a parity oracle."""
-    votes = {}
-    for d in sorted(int(d) for d in delegates):
-        if not mask[d]:
-            votes[d] = Vote.VALID
-        elif d in conflicting:
-            votes[d] = Vote.CONFLICTING
-        else:
-            votes[d] = overrides.get(d, Vote.INVALID)
-    block = sum(v is Vote.VALID for v in votes.values()) >= quorum(len(votes))
+    posing = set() if posing is None else set(posing.tolist())
+    votes = {d: not mask[d] or d in posing for d in sorted(int(d) for d in delegates)}
+    block = sum(votes.values()) >= quorum(len(votes))
     log = []
-    for d, v in votes.items():
-        if v is Vote.VALID:
+    for d, valid in votes.items():
+        if valid:
             if not block:
                 continue
             kind = EvidenceKind.VALID
@@ -184,15 +171,15 @@ def test_round_matches_per_node_apply_evidence_bit_for_bit():
         mask = rng.random(n) < rng.random()
         alphas, betas = rng.uniform(0.5, 40.0, n), rng.uniform(0.5, 40.0, n)
         delegates = rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)
-        overrides = {int(d): Vote.VALID for d in np.flatnonzero(mask) if rng.random() < 0.5}
-        conflicting = {int(d) for d in np.flatnonzero(mask) if rng.random() < 0.3}
+        malicious = np.flatnonzero(mask)
+        posing = malicious[rng.random(len(malicious)) < 0.5] if rng.random() < 0.75 else None
         detect_p = float(rng.random())
         net = NetworkState(alphas=alphas.copy(), betas=betas.copy(), malicious_mask=mask)
         log = []
-        out = run_consensus_round(net, delegates, np.random.default_rng(trial), cfg, vote_overrides=overrides,
-                                  conflicting=conflicting, detect_p=detect_p, evidence_log=log)
+        out = run_consensus_round(net, delegates, np.random.default_rng(trial), cfg, posing=posing,
+                                  detect_p=detect_p, evidence_log=log)
         block, expected_log = reference_round(alphas, betas, mask, delegates, np.random.default_rng(trial),
-                                              overrides, conflicting, detect_p, cfg)
+                                              posing, detect_p, cfg)
         assert out.block_created == block
         assert net.alphas.tobytes() == alphas.tobytes() and net.betas.tobytes() == betas.tobytes()
         assert log == expected_log

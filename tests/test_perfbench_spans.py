@@ -6,7 +6,15 @@ pins the BLAS thread variables and glibc's mmap threshold for this process.
 
 import ast
 import importlib
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
+
+import trustsim.env
+from trustsim.attacks import FAMILIES, Perturbation
+from trustsim.config import ExperimentConfig
+from trustsim.runner import simulate
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -28,3 +36,32 @@ def test_perfbench_spans_resolve():
             target = getattr(target, cls, None)
             assert target is not None, f"{span}: {owner} does not resolve"
         assert callable(getattr(target, attr, None)), f"{span}: {owner}.{attr} does not resolve"
+
+
+@pytest.mark.parametrize("attack", FAMILIES)
+def test_evidence_hook_contract(attack, monkeypatch):
+    """perfbench's evidence hook reads ``apply_perturbations(net, perts, accepted=...)``:
+    a list of ``Perturbation`` whose emitters are ``None`` or int tuples, and
+    the gate's accepted nodes as a set of ints."""
+    calls = []
+    real = trustsim.env.apply_perturbations
+
+    def probe(*args, **kwargs):
+        calls.append((args, kwargs))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(trustsim.env, "apply_perturbations", probe)
+    cfg = ExperimentConfig(agent="rl", attack=attack, episodes=1, steps=40, seed=3, allow_short_tdp=True)
+    cfg = replace(cfg, attack_cfg=replace(cfg.attack_cfg, tdp_activation_episode=1))
+    simulate(cfg)
+    assert len(calls) == 40
+    assert any(args[1] for args, _ in calls)
+    for args, kwargs in calls:
+        perturbations, accepted = args[1], kwargs["accepted"]
+        assert isinstance(perturbations, list)
+        for p in perturbations:
+            assert isinstance(p, Perturbation)
+            assert p.emitters is None or (
+                isinstance(p.emitters, tuple) and all(type(e) is int for e in p.emitters)
+            )
+        assert isinstance(accepted, set) and all(type(e) is int for e in accepted)
