@@ -39,8 +39,8 @@ class DqnAgent:
     def act(self, state: np.ndarray) -> int:
         return epsilon_greedy(self.online.forward(state), self.eps, self.rng)
 
-    def observe(self, state, action, reward, next_state, terminal: bool) -> None:
-        self.buffer.push(state, action, reward * self.hp.reward_scale, next_state, terminal)
+    def observe(self, state, action, reward, next_state) -> None:
+        self.buffer.push(state, action, reward * self.hp.reward_scale, next_state)
         self.total_steps += 1
         train_step(self.online, self.target, self.buffer, self.optimizer, self.hp, self.rng)
         if self.total_steps % self.hp.target_sync_every == 0:

@@ -77,12 +77,12 @@ class MarlPool:
         self._last_votes = self.vote(state)
         return majority_vote(self._last_votes)
 
-    def observe(self, state, action, reward, next_state, terminal: bool) -> None:
+    def observe(self, state, action, reward, next_state) -> None:
         votes = self._last_votes if self._last_votes is not None else [action] * self.n_agents
         scaled = reward * self.hp.reward_scale
         for buf, vote in zip(self.buffers, votes):
             if vote == action:
-                buf.push(state, vote, scaled, next_state, terminal)
+                buf.push(state, vote, scaled, next_state)
         self._last_votes = None
         self.total_steps += 1
         self.train_once()
@@ -108,14 +108,14 @@ class MarlPool:
         if any(q > len(b) for q, b in zip(quotas, nonempty)):
             return None
         parts = [b.sample(q, self.train_rng) for b, q in zip(nonempty, quotas) if q > 0]
-        return tuple(np.concatenate([p[i] for p in parts]) for i in range(5))
+        return tuple(np.concatenate(column) for column in zip(*parts))
 
     def train_once(self) -> float | None:
         batch = self.pooled_batch()
         if batch is None:
             return None
-        states, actions, rewards, next_states, terminals = batch
-        targets = double_q_targets(rewards, next_states, terminals, self.online, self.target, self.hp.discount)
+        states, actions, rewards, next_states = batch
+        targets = double_q_targets(rewards, next_states, self.online, self.target, self.hp.discount)
         loss, grads = td_loss_and_grads(self.online, states, actions.astype(np.int64), targets, self.hp.td_clip)
         self.optimizer.step(grads)
         return loss

@@ -29,7 +29,7 @@ class AgentHyperparams:
     head_hidden: int = 32
     target_sync_every: int = 100
     marl_sync_every: int = 10
-    td_clip: float | None = 10.0
+    td_clip: float = 10.0
     # deep agents regress on scaled rewards so Q magnitudes stay inside the
     # clip regime; the environment reward itself is untouched
     reward_scale: float = 0.01
@@ -256,7 +256,6 @@ class Adam:
 def double_q_targets(
     rewards: np.ndarray,
     next_states: np.ndarray,
-    terminals: np.ndarray,
     online: DuelingNetwork,
     target: DuelingNetwork,
     discount: float,
@@ -266,7 +265,7 @@ def double_q_targets(
     a_star = np.argmax(q_online, axis=1)
     q_target = target.forward(next_states)
     boot = q_target[np.arange(len(a_star)), a_star]
-    return rewards + discount * boot * (1.0 - terminals)
+    return rewards + discount * boot
 
 
 def td_loss_and_grads(
@@ -274,18 +273,14 @@ def td_loss_and_grads(
     states: np.ndarray,
     actions: np.ndarray,
     targets: np.ndarray,
-    td_clip: float | None,
+    td_clip: float,
 ):
     """Mean squared clipped TD error and its exact parameter gradients."""
     q, cache = net.forward_cached(states)
     rows = np.arange(len(actions))
     delta = q[rows, actions] - targets
-    if td_clip is not None:
-        clipped = np.clip(delta, -td_clip, td_clip)
-        inside = (np.abs(delta) <= td_clip).astype(float)
-    else:
-        clipped = delta
-        inside = np.ones_like(delta)
+    clipped = np.clip(delta, -td_clip, td_clip)
+    inside = (np.abs(delta) <= td_clip).astype(float)
     loss = float(np.mean(clipped**2))
     dq = np.zeros_like(q)
     dq[rows, actions] = 2.0 * clipped * inside / len(actions)
@@ -305,25 +300,23 @@ class ReplayBuffer:
     def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
         n = capacity * state_dim
-        block = np.zeros(2 * n + 3 * capacity)
+        block = np.zeros(2 * n + 2 * capacity)
         self.states = block[:n].reshape(capacity, state_dim)
         self.next_states = block[n : 2 * n].reshape(capacity, state_dim)
         self.rewards = block[2 * n : 2 * n + capacity]
-        self.terminals = block[2 * n + capacity : 2 * n + 2 * capacity]
-        self.actions = block[2 * n + 2 * capacity :].view(np.int64)  # zero bits are int64 zero
+        self.actions = block[2 * n + capacity :].view(np.int64)  # zero bits are int64 zero
         self.size = 0
         self.cursor = 0
 
     def __len__(self) -> int:
         return self.size
 
-    def push(self, s, a, r, s_next, terminal: bool) -> None:
+    def push(self, s, a, r, s_next) -> None:
         i = self.cursor
         self.states[i] = s
         self.actions[i] = a
         self.rewards[i] = r
         self.next_states[i] = s_next
-        self.terminals[i] = 1.0 if terminal else 0.0
         self.cursor = (self.cursor + 1) % self.capacity
         self.size = min(self.size + 1, self.capacity)
 
@@ -333,13 +326,7 @@ class ReplayBuffer:
         return rng.choice(self.size, size=batch, replace=False)
 
     def gather(self, idx: np.ndarray):
-        return (
-            self.states[idx],
-            self.actions[idx],
-            self.rewards[idx],
-            self.next_states[idx],
-            self.terminals[idx],
-        )
+        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
 
     def sample(self, batch: int, rng: np.random.Generator):
         return self.gather(self.sample_indices(batch, rng))
@@ -357,8 +344,8 @@ def train_step(
     the buffer cannot yet fill a batch (reported as a skip)."""
     if len(buffer) < hp.batch_size:
         return None
-    states, actions, rewards, next_states, terminals = buffer.sample(hp.batch_size, rng)
-    targets = double_q_targets(rewards, next_states, terminals, net, target_net, hp.discount)
+    states, actions, rewards, next_states = buffer.sample(hp.batch_size, rng)
+    targets = double_q_targets(rewards, next_states, net, target_net, hp.discount)
     loss, grads = td_loss_and_grads(net, states, actions, targets, hp.td_clip)
     optimizer.step(grads)
     return loss

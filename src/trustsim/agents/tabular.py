@@ -122,7 +122,7 @@ class TabularAgent:
         key = discretize(state, self.spec)
         return epsilon_greedy(self.q.values(key), self.eps, self.rng)
 
-    def observe(self, state, action, reward, next_state, terminal: bool) -> None:
+    def observe(self, state, action, reward, next_state) -> None:
         s_key = discretize(state, self.spec)
         n_key = discretize(next_state, self.spec)
         tabular_update(self.q, s_key, action, reward, n_key, self.hp)

@@ -63,8 +63,6 @@ class ExperimentConfig:
             raise ConfigError(f"malicious_ratio must lie in [0, 1], got {self.malicious_ratio}")
         if self.attack_cfg.family != self.attack:
             object.__setattr__(self, "attack_cfg", replace(self.attack_cfg, family=self.attack))
-        if self.env.steps_per_episode != self.steps:
-            object.__setattr__(self, "env", replace(self.env, steps_per_episode=self.steps))
 
     def resolve_episodes(self) -> tuple[int, str | None]:
         """Final episode count plus an optional warning message.
@@ -137,6 +135,8 @@ def apply_setting(cfg: ExperimentConfig, section: str, key: str, raw: str) -> Ex
         return replace(cfg, **{key: _coerce(raw, ftype)})
     if section not in _SECTION_TARGETS or _SECTION_TARGETS[section] is None:
         raise ConfigError(f"unknown config section [{section}]")
+    if (section, key) == ("attack", "family"):
+        raise ConfigError("[attack] family is set by [experiment] attack")
     attr, dc_type = _SECTION_TARGETS[section]
     ftype = _field_type(dc_type, key)
     if ftype is None:

@@ -28,7 +28,7 @@ from .network import (
     run_consensus_round,
     trust_separation,
 )
-from .trust import DelegationPolicy, TrustUpdateConfig, round_half_up, sample_top_k
+from .trust import TrustUpdateConfig, committee_size, sample_top_k
 
 
 FEATURE_NAMES = (
@@ -181,7 +181,7 @@ def extract_state(
 
     # the delegation policy's committee fraction: the observable image of
     # the controlled variable (k/N under the current ratio)
-    deleg_eff = max(1, round_half_up(net.delegation_ratio * net.n)) / max(1, net.n)
+    deleg_eff = committee_size(net.delegation_ratio, net.n) / net.n
 
     window = max(1, len(history.blocks))
     throughput_rate = float(sum(history.verified) / (window * batch_size)) if history.verified else 0.0
@@ -228,11 +228,9 @@ class History:
 
 @dataclass
 class EnvConfig:
-    steps_per_episode: int = 100
     batch_size: int = 10
     theta: float = 0.45
     detect_p: float = 0.6
-    kappa_max: float = 10.0
 
 
 class SimulationError(RuntimeError):
@@ -250,6 +248,7 @@ class Environment:
         update_cfg: TrustUpdateConfig,
         reward_cfg: RewardConfig,
         env_cfg: EnvConfig,
+        steps: int,
         rng_consensus: np.random.Generator,
         rng_attack: np.random.Generator,
         evidence_log: list | None = None,
@@ -260,6 +259,7 @@ class Environment:
         self.update_cfg = update_cfg
         self.reward_cfg = reward_cfg
         self.cfg = env_cfg
+        self.steps = steps
         self.rng_consensus = rng_consensus
         self.rng_attack = rng_attack
         self.evidence_log = evidence_log
@@ -281,7 +281,7 @@ class Environment:
             self.history,
             kappa_max=self.reward_cfg.kappa_max,
             corruption=self.pending_corruption,
-            steps_per_episode=self.cfg.steps_per_episode,
+            steps_per_episode=self.steps,
             batch_size=self.cfg.batch_size,
         )
 
@@ -292,8 +292,7 @@ class Environment:
         taus = net.trust_scores()
         accepted = self.gate.accepted(taus)
 
-        policy = DelegationPolicy(ratio=net.delegation_ratio, node_count=net.n)
-        k = min(policy.committee_size, len(accepted))
+        k = min(committee_size(net.delegation_ratio, net.n), len(accepted))
         outcome = None
         if k > 0:
             delegates = sample_top_k(net.alphas, net.betas, k, self.rng_consensus, candidates=accepted)
@@ -330,32 +329,21 @@ class Environment:
         return reward
 
 
-def run_episode(
-    env: Environment,
-    agent,
-    episode_index: int,
-    steps: int | None = None,
-    terminal_at_end: bool = False,
-) -> metrics.EpisodeRecord:
-    """Run one episode and return its aggregate record.
+def run_episode(env: Environment, agent, episode_index: int) -> metrics.EpisodeRecord:
+    """Run ``env.steps`` steps as one episode and return its aggregate record.
 
-    Episodes are evaluation windows over a continuing process, so by
-    default no step is marked terminal: value bootstrapping may carry
-    credit for end-of-episode policy state into the next window.
+    Episodes are evaluation windows over one continuing process: value
+    bootstrapping carries credit for end-of-episode policy state into the
+    next window.
     """
-    if steps is None:
-        steps = env.cfg.steps_per_episode
-    if steps < 1:
-        raise ValueError("steps must be positive")
     env.begin_episode(episode_index)
 
     state = env.observe()
-    for t in range(steps):
+    for _ in range(env.steps):
         action = agent.act(state)
         reward = env.step(Action(action))
         next_state = env.observe()
-        terminal = terminal_at_end and t == steps - 1
-        agent.observe(state, int(action), reward, next_state, terminal=terminal)
+        agent.observe(state, int(action), reward, next_state)
         state = next_state
     agent.end_episode()
 

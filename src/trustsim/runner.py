@@ -9,6 +9,7 @@ import statistics
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -59,6 +60,7 @@ def build_simulation(cfg: ExperimentConfig):
         update_cfg=cfg.trust,
         reward_cfg=cfg.reward,
         env_cfg=cfg.env,
+        steps=cfg.steps,
         rng_consensus=rng_consensus,
         rng_attack=rng_attack,
         evidence_log=evidence_log,
@@ -66,15 +68,13 @@ def build_simulation(cfg: ExperimentConfig):
     return env, agent, rng_reset, episodes, warning
 
 
-def simulate(cfg: ExperimentConfig, max_episodes: int | None = None):
+def simulate(cfg: ExperimentConfig):
     """Run the full episode loop in memory; returns (records, env, agent, warning)."""
     env, agent, rng_reset, episodes, warning = build_simulation(cfg)
-    if max_episodes is not None:
-        episodes = min(episodes, max_episodes)
     records = []
     for ep in range(1, episodes + 1):
         reset_profiles(env.net, rng_reset)
-        records.append(run_episode(env, agent, episode_index=ep, steps=cfg.steps))
+        records.append(run_episode(env, agent, episode_index=ep))
     return records, env, agent, warning
 
 
@@ -141,11 +141,9 @@ def spawn_pool(workers: int):
                 os.environ[var] = value
 
 
-def _matrix_cell(args):
-    cfg_kwargs, agent, attack, seed, out_dir = args
-    cfg = ExperimentConfig(**{**cfg_kwargs, "agent": agent, "attack": attack, "seed": seed, "out": out_dir})
+def _matrix_cell(cfg: ExperimentConfig):
     records = run_experiment(cfg)
-    return agent, attack, seed, tail_mean_f1(records)
+    return cfg.agent, cfg.attack, cfg.seed, tail_mean_f1(records)
 
 
 def run_matrix(
@@ -172,22 +170,8 @@ def run_matrix(
     if not quiet:
         print(f"matrix: {len(agents)} agents x {len(attacks)} attacks x {len(seeds)} seeds -> {base_cfg.out}")
     out.mkdir(parents=True, exist_ok=True)
-    base_kwargs = {
-        "steps": base_cfg.steps,
-        "episodes": base_cfg.episodes,
-        "n_nodes": base_cfg.n_nodes,
-        "malicious_ratio": base_cfg.malicious_ratio,
-        "gate_mode": base_cfg.gate_mode,
-        "policy_file": base_cfg.policy_file,
-        "trust": base_cfg.trust,
-        "attack_cfg": base_cfg.attack_cfg,
-        "reward": base_cfg.reward,
-        "hyper": base_cfg.hyper,
-        "env": base_cfg.env,
-    }
-
     jobs = [
-        (base_kwargs, agent, attack, seed, str(out / f"{agent}_{attack}_seed{seed}"))
+        replace(base_cfg, agent=agent, attack=attack, seed=seed, out=str(out / f"{agent}_{attack}_seed{seed}"))
         for attack in attacks
         for agent in agents
         for seed in seeds
@@ -208,13 +192,13 @@ def run_matrix(
                 try:
                     record(*fut.result())
                 except Exception:
-                    failures.append((job[1], job[2], job[3], traceback.format_exc()))
+                    failures.append((job.agent, job.attack, job.seed, traceback.format_exc()))
     else:
         for job in jobs:
             try:
                 record(*_matrix_cell(job))
             except Exception:
-                failures.append((job[1], job[2], job[3], traceback.format_exc()))
+                failures.append((job.agent, job.attack, job.seed, traceback.format_exc()))
 
     for agent, attack, seed, tb in failures:
         print(f"run failed: {agent} vs {attack} seed {seed}\n{tb}", file=sys.stderr)

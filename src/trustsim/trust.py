@@ -48,22 +48,13 @@ class TrustUpdateConfig:
             raise ValueError("decay_gamma must lie strictly inside (0, 1)")
 
 
-@dataclass(frozen=True)
-class DelegationPolicy:
+def committee_size(ratio: float, node_count: int) -> int:
     """Committee sizing rule: k = max(1, round-half-up(ratio * node_count))."""
-
-    ratio: float
-    node_count: int
-
-    def __post_init__(self):
-        if not (0.1 <= self.ratio <= 1.0):
-            raise ValueError(f"delegation ratio must lie in [0.1, 1.0], got {self.ratio}")
-        if self.node_count < 1:
-            raise ValueError("node_count must be positive")
-
-    @property
-    def committee_size(self) -> int:
-        return max(1, round_half_up(self.ratio * self.node_count))
+    if not (0.1 <= ratio <= 1.0):
+        raise ValueError(f"delegation ratio must lie in [0.1, 1.0], got {ratio}")
+    if node_count < 1:
+        raise ValueError("node_count must be positive")
+    return max(1, round_half_up(ratio * node_count))
 
 
 def round_half_up(x: float) -> int:

@@ -185,12 +185,6 @@ def test_forward_raises_on_nonfinite():
 # --- double Q targets --------------------------------------------------------
 
 
-def test_double_q_terminal_returns_reward():
-    net, tgt = tiny_net(1), tiny_net(2)
-    out = double_q_targets(np.array([5.0]), np.zeros((1, 16)), np.array([1.0]), net, tgt, 0.99)
-    assert out[0] == 5.0
-
-
 def test_double_q_worked_example():
     class Stub:
         def __init__(self, row):
@@ -201,7 +195,7 @@ def test_double_q_worked_example():
 
     online = Stub([0.1, 0.9, 0.5])
     target = Stub([0.2, 0.4, 0.6])
-    out = double_q_targets(np.array([1.0]), np.zeros((1, 16)), np.array([0.0]), online, target, 0.99)
+    out = double_q_targets(np.array([1.0]), np.zeros((1, 16)), online, target, 0.99)
     assert out[0] == pytest.approx(1.0 + 0.99 * 0.4)
 
 
@@ -212,7 +206,7 @@ def test_double_q_never_exceeds_max_target_bound(seed):
     online, target = tiny_net(seed), tiny_net(seed + 1)
     s = rng.normal(size=(4, 16))
     r = rng.normal(size=4)
-    targets = double_q_targets(r, s, np.zeros(4), online, target, 0.99)
+    targets = double_q_targets(r, s, online, target, 0.99)
     bound = r + 0.99 * target.forward(s).max(axis=1)
     assert np.all(targets <= bound + 1e-12)
 
@@ -220,7 +214,7 @@ def test_double_q_never_exceeds_max_target_bound(seed):
 def test_double_q_coincident_argmax_matches_single_network():
     net = tiny_net(3)
     s = np.random.default_rng(0).normal(size=(1, 16))
-    via_double = double_q_targets(np.array([1.0]), s, np.zeros(1), net, net, 0.99)
+    via_double = double_q_targets(np.array([1.0]), s, net, net, 0.99)
     single = 1.0 + 0.99 * net.forward(s).max()
     assert via_double[0] == pytest.approx(single)
 
@@ -234,7 +228,7 @@ def finite_difference_check(net, states, actions, targets, h=1e-5):
     The loss is piecewise smooth; the caller must keep pre-activations away
     from the ReLU kinks or the difference quotient measures a subgradient.
     """
-    _, grads = td_loss_and_grads(net, states, actions, targets, td_clip=None)
+    _, grads = td_loss_and_grads(net, states, actions, targets, td_clip=np.inf)
     rows = np.arange(len(actions))
 
     def loss_at():
@@ -340,7 +334,7 @@ def test_train_step_loss_finite_nonnegative():
     opt = Adam(net.flat, lr=hp.learning_rate)
     buf = ReplayBuffer(100, 16)
     for _ in range(8):
-        buf.push(rng.normal(size=16), int(rng.integers(3)), float(rng.normal()), rng.normal(size=16), False)
+        buf.push(rng.normal(size=16), int(rng.integers(3)), float(rng.normal()), rng.normal(size=16))
     loss = train_step(net, tgt, buf, opt, hp, rng)
     assert loss is not None and np.isfinite(loss) and loss >= 0.0
 
@@ -349,10 +343,11 @@ def test_overfit_single_transition():
     hp = AgentHyperparams(batch_size=1, learning_rate=5e-4)
     rng = np.random.default_rng(11)
     net, tgt = tiny_net(5), tiny_net(6)
+    tgt.flat[:] = 0.0  # a zero target network bootstraps 0, so the target stays 0.5
     opt = Adam(net.flat, lr=hp.learning_rate)
     buf = ReplayBuffer(10, 16)
     s = rng.normal(size=16)
-    buf.push(s, 1, 0.5, rng.normal(size=16), True)  # terminal: fixed target 0.5
+    buf.push(s, 1, 0.5, rng.normal(size=16))
     loss = None
     for _ in range(500):
         loss = train_step(net, tgt, buf, opt, hp, rng)
@@ -380,7 +375,7 @@ def test_target_unchanged_before_first_sync():
     s = rng.normal(size=16)
     before = agent.target.forward(s).copy()
     for _ in range(20):
-        agent.observe(rng.normal(size=16), int(rng.integers(3)), float(rng.normal()), rng.normal(size=16), False)
+        agent.observe(rng.normal(size=16), int(rng.integers(3)), float(rng.normal()), rng.normal(size=16))
     assert np.array_equal(agent.target.forward(s), before)
 
 
@@ -391,7 +386,7 @@ def test_replay_uniform_inclusion_frequencies():
     rng = np.random.default_rng(42)
     buf = ReplayBuffer(100, 2)
     for i in range(100):
-        buf.push(np.array([i, 0.0]), 0, 0.0, np.zeros(2), False)
+        buf.push(np.array([i, 0.0]), 0, 0.0, np.zeros(2))
     counts = np.zeros(100)
     batches = 10_000
     for _ in range(batches):
@@ -405,7 +400,7 @@ def test_replay_uniform_inclusion_frequencies():
 def test_replay_ring_overwrites_oldest():
     buf = ReplayBuffer(4, 1)
     for i in range(6):
-        buf.push(np.array([float(i)]), 0, 0.0, np.zeros(1), False)
+        buf.push(np.array([float(i)]), 0, 0.0, np.zeros(1))
     assert len(buf) == 4
     assert set(buf.states[:, 0].tolist()) == {2.0, 3.0, 4.0, 5.0}
 
@@ -413,24 +408,23 @@ def test_replay_ring_overwrites_oldest():
 def test_replay_columns_are_disjoint_views_of_one_block():
     capacity, dim = 5, 3
     buf = ReplayBuffer(capacity, dim)
-    columns = (buf.states, buf.next_states, buf.rewards, buf.terminals, buf.actions)
+    columns = (buf.states, buf.next_states, buf.rewards, buf.actions)
     base = buf.states.base
     assert base is not None and all(c.base is base for c in columns)
     assert base.nbytes == sum(c.nbytes for c in columns)
     assert buf.actions.dtype == np.int64 and not buf.actions.any()
     for i in range(capacity):
-        buf.push(np.full(dim, i + 0.25), i + 1, -float(i), np.full(dim, i + 0.5), i % 2 == 0)
-    states, actions, rewards, next_states, terminals = buf.gather(np.arange(capacity))
+        buf.push(np.full(dim, i + 0.25), i + 1, -float(i), np.full(dim, i + 0.5))
+    states, actions, rewards, next_states = buf.gather(np.arange(capacity))
     assert np.array_equal(states, np.arange(capacity)[:, None] + np.full((capacity, dim), 0.25))
     assert np.array_equal(next_states, np.arange(capacity)[:, None] + np.full((capacity, dim), 0.5))
     assert actions.dtype == np.int64 and actions.tolist() == [1, 2, 3, 4, 5]
     assert rewards.tolist() == [0.0, -1.0, -2.0, -3.0, -4.0]
-    assert terminals.tolist() == [1.0, 0.0, 1.0, 0.0, 1.0]
 
 
 def test_replay_rejects_oversized_batch():
     buf = ReplayBuffer(10, 1)
-    buf.push(np.zeros(1), 0, 0.0, np.zeros(1), False)
+    buf.push(np.zeros(1), 0, 0.0, np.zeros(1))
     with pytest.raises(ValueError):
         buf.sample_indices(2, np.random.default_rng(0))
 
@@ -476,7 +470,7 @@ def test_marl_shared_parameters_single_store():
     for _ in range(80):
         state = rng.normal(size=16)
         a = pool.act(state)
-        pool.observe(state, a, float(rng.normal()), rng.normal(size=16), False)
+        pool.observe(state, a, float(rng.normal()), rng.normal(size=16))
     assert not np.allclose(pool.online.forward(s), q_before)  # training moved the one store
     # every agent sees identical Q-values because there is only one store
     assert np.array_equal(pool.qvalues(s), pool.acting.forward(s))
@@ -490,10 +484,10 @@ def test_marl_acting_policy_refreshes_on_schedule():
     stale = pool.acting.forward(s_probe).copy()
     for step in range(1, 10):
         state = rng.normal(size=16)
-        pool.observe(state, pool.act(state), 1.0, rng.normal(size=16), False)
+        pool.observe(state, pool.act(state), 1.0, rng.normal(size=16))
         assert np.array_equal(pool.acting.forward(s_probe), stale), f"refreshed early at {step}"
     state = rng.normal(size=16)
-    pool.observe(state, pool.act(state), 1.0, rng.normal(size=16), False)  # step 10
+    pool.observe(state, pool.act(state), 1.0, rng.normal(size=16))  # step 10
     assert np.array_equal(pool.acting.forward(s_probe), pool.online.forward(s_probe))
 
 
@@ -503,7 +497,7 @@ def test_marl_pooled_batch_quota():
     rng = np.random.default_rng(1)
     for buf in pool.buffers:
         for _ in range(4):
-            buf.push(rng.normal(size=16), 0, 0.0, rng.normal(size=16), False)
+            buf.push(rng.normal(size=16), 0, 0.0, rng.normal(size=16))
     batch = pool.pooled_batch()
     assert batch is not None
     assert len(batch[0]) == 64  # 4 from each of 16 buffers
@@ -525,7 +519,7 @@ def test_checkpoint_round_trip_bit_identical(tmp_path, kind):
         agent = TabularAgent(HP, rng, 50)
         for _ in range(50):
             s = rng.uniform(0, 1, 16)
-            agent.observe(s, int(rng.integers(3)), float(rng.normal()), rng.uniform(0, 1, 16), False)
+            agent.observe(s, int(rng.integers(3)), float(rng.normal()), rng.uniform(0, 1, 16))
     elif kind == "drl":
         agent = DqnAgent(HP, rng, 50)
     else:

@@ -149,11 +149,11 @@ def test_run_matrix_records_failures_and_continues(tmp_path, monkeypatch):
     calls = {"n": 0}
     real = runner_mod._matrix_cell
 
-    def flaky(args):
+    def flaky(cfg):
         calls["n"] += 1
-        if args[1] == "rl":
+        if cfg.agent == "rl":
             raise RuntimeError("boom")
-        return real(args)
+        return real(cfg)
 
     monkeypatch.setattr(runner_mod, "_matrix_cell", flaky)
     base = ExperimentConfig(out=str(tmp_path / "m"), **FAST)
@@ -163,6 +163,17 @@ def test_run_matrix_records_failures_and_continues(tmp_path, monkeypatch):
         rows = list(csv.reader(fh))
     assert rows[1][1] == "missing"
     assert rows[1][2] != "missing"
+
+
+def test_run_matrix_cells_keep_the_whole_base_config(tmp_path):
+    base = ExperimentConfig(out=str(tmp_path / "m"), episodes=2, steps=5, seed=42, allow_short_tdp=True)
+    _, failures = run_matrix(base, ["rl"], ["tdp"], seeds=[42])
+    assert not failures
+    cell = tmp_path / "m" / "rl_tdp_seed42"
+    with open(cell / "episodes.csv") as fh:
+        assert len(list(csv.reader(fh))) == 1 + 2
+    manifest = (cell / "manifest.txt").read_text().splitlines()
+    assert "allow_short_tdp=True" in manifest and "episodes_resolved=2" in manifest
 
 
 def test_run_matrix_workers_match_serial_and_restore_environment(tmp_path, monkeypatch):
@@ -256,6 +267,9 @@ def test_cli_rejects_bad_agent(capsys):
         ["--matrix", "--agent", "rl", "--attack", "nma", "--seeds", "42,42"],
         ["--matrix", "--agent", "rl", "--attack", "nma", "--seeds", "42", "--workers", "-3"],
         ["--matrix", "--agent", "rl", "--attack", "nma", "--seeds", "42", "--workers", "0"],
+        ["--attack", "nma", "--set", "attack.family=cra"],
+        ["--set", "env.kappa_max=1"],
+        ["--set", "env.steps_per_episode=7"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -267,6 +281,9 @@ def test_cli_rejects_bad_agent(capsys):
         "matrix-repeated-seed",
         "matrix-negative-workers",
         "matrix-zero-workers",
+        "attack-family-key",
+        "env-kappa-max-key",
+        "env-steps-per-episode-key",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim.config import ExperimentConfig
+from trustsim.config import ConfigError, ExperimentConfig
 from trustsim.env import (
     ACTION_MULTIPLIERS,
     HIGH_TRUST_CUTOFF,
@@ -204,13 +204,9 @@ def test_run_episode_chain_bounded_by_steps():
     assert all(r.throughput <= 600 for r in records)
 
 
-def test_run_episode_rejects_bad_steps():
-    from trustsim.runner import build_simulation
-    from trustsim.env import run_episode
-
-    env, agent, *_ = build_simulation(ExperimentConfig(agent="rl", attack="nma"))
-    with pytest.raises(ValueError):
-        run_episode(env, agent, episode_index=1, steps=0)
+def test_config_rejects_nonpositive_steps():
+    with pytest.raises(ConfigError):
+        ExperimentConfig(steps=0)
 
 
 @pytest.mark.parametrize("ratio", [0.0, 1.0])

@@ -1,9 +1,11 @@
-"""The benchmark's probes name trustsim functions; each name must still resolve.
+"""The benchmark's probes name trustsim functions, and its workloads build
+trustsim configs; each name must still resolve and each config still build.
 
 ``perfbench/run.py`` is read with ``ast`` rather than imported: importing it
 pins the BLAS thread variables and glibc's mmap threshold for this process.
 """
 
+import __future__
 import ast
 import importlib
 from dataclasses import replace
@@ -19,15 +21,26 @@ from trustsim.runner import simulate
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
 
-def probed_spans():
-    for node in ast.parse(RUN.read_text(encoding="utf-8")).body:
-        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "SPANS" for t in node.targets):
-            return ast.literal_eval(node.value)
-    raise AssertionError(f"no SPANS assignment in {RUN}")
+def perfbench_definitions(*names) -> dict:
+    """The named top-level assignments and functions of ``perfbench/run.py``, executed on their own."""
+
+    def defines(node) -> bool:
+        if isinstance(node, ast.FunctionDef):
+            return node.name in names
+        return isinstance(node, ast.Assign) and any(getattr(t, "id", None) in names for t in node.targets)
+
+    picked = [node for node in ast.parse(RUN.read_text(encoding="utf-8")).body if defines(node)]
+    namespace = {}
+    code = compile(ast.Module(body=picked, type_ignores=[]), str(RUN), "exec",
+                   flags=__future__.annotations.compiler_flag, dont_inherit=True)
+    exec(code, namespace)
+    missing = set(names) - namespace.keys()
+    assert not missing, f"{RUN} defines no {sorted(missing)}"
+    return namespace
 
 
 def test_perfbench_spans_resolve():
-    spans = probed_spans()
+    spans = perfbench_definitions("SPANS")["SPANS"]
     assert spans
     for span, owner, attr in spans:
         module, _, cls = owner.partition(":")
@@ -65,3 +78,13 @@ def test_evidence_hook_contract(attack, monkeypatch):
                 isinstance(p.emitters, tuple) and all(type(e) is int for e in p.emitters)
             )
         assert isinstance(accepted, set) and all(type(e) is int for e in accepted)
+
+
+@pytest.mark.parametrize("workload", ["rl-bfi", "drl-cra", "marl-tdp-fhe"])
+def test_perfbench_workload_config_builds(workload, tmp_path):
+    run = perfbench_definitions("STEPS", "WORKLOADS", "make_config")
+    spec = run["WORKLOADS"][workload]
+    cfg = run["make_config"](workload, 1, tmp_path / "out")
+    assert cfg.steps == run["STEPS"]
+    assert cfg.attack_cfg.family == spec["attack"]
+    assert cfg.resolve_episodes() == (spec["episodes"], None)

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustsim.trust import (
-    DelegationPolicy,
+    committee_size,
     EvidenceKind,
     TrustProfile,
     TrustUpdateConfig,
@@ -79,10 +79,10 @@ def test_malicious_severity_dominates_invalid_at_equal_delta(alpha, beta, delta)
 
 
 def test_committee_size_rule():
-    assert DelegationPolicy(1.0, 16).committee_size == 16
-    assert DelegationPolicy(0.3, 16).committee_size == 5  # round(4.8) = 5
-    assert DelegationPolicy(0.1, 16).committee_size == 2
-    assert DelegationPolicy(0.1, 2).committee_size == 1  # floor at one delegate
+    assert committee_size(1.0, 16) == 16
+    assert committee_size(0.3, 16) == 5  # round(4.8) = 5
+    assert committee_size(0.1, 16) == 2
+    assert committee_size(0.1, 2) == 1  # floor at one delegate
 
 
 def test_round_half_up():
@@ -93,9 +93,11 @@ def test_round_half_up():
 
 def test_policy_validation():
     with pytest.raises(ValueError):
-        DelegationPolicy(0.05, 16)
+        committee_size(0.05, 16)
     with pytest.raises(ValueError):
-        DelegationPolicy(1.2, 16)
+        committee_size(1.2, 16)
+    with pytest.raises(ValueError):
+        committee_size(0.5, 0)
 
 
 # delegate selection: the committee is the committee_size largest Thompson draws
@@ -105,13 +107,13 @@ PRIOR = np.full(16, 8.0)
 
 def test_sample_top_k_full_ratio_selects_everyone():
     rng = np.random.default_rng(0)
-    chosen = sample_top_k(PRIOR, PRIOR, DelegationPolicy(1.0, 16).committee_size, rng)
+    chosen = sample_top_k(PRIOR, PRIOR, committee_size(1.0, 16), rng)
     assert chosen.tolist() == list(range(16))
 
 
 def test_sample_top_k_counts():
     rng = np.random.default_rng(1)
-    chosen = sample_top_k(PRIOR, PRIOR, DelegationPolicy(0.3, 16).committee_size, rng)
+    chosen = sample_top_k(PRIOR, PRIOR, committee_size(0.3, 16), rng)
     assert len(chosen) == 5
     assert all(0 <= i < 16 for i in chosen)
 
@@ -119,14 +121,14 @@ def test_sample_top_k_counts():
 def test_sample_top_k_rejects_empty():
     empty = np.array([])
     with pytest.raises(ValueError):
-        sample_top_k(empty, empty, DelegationPolicy(0.5, 16).committee_size, np.random.default_rng(0))
+        sample_top_k(empty, empty, committee_size(0.5, 16), np.random.default_rng(0))
     with pytest.raises(ValueError):
         sample_top_k(PRIOR, PRIOR, 8, np.random.default_rng(0), candidates=np.array([], dtype=np.int64))
 
 
 def test_sample_top_k_deterministic_under_seed():
     alphas, betas = np.arange(1.0, 17.0), np.arange(16.0, 0.0, -1.0)
-    k = DelegationPolicy(0.5, 16).committee_size
+    k = committee_size(0.5, 16)
     a = [sample_top_k(alphas, betas, k, np.random.default_rng(7)).tolist() for _ in range(5)]
     b = [sample_top_k(alphas, betas, k, np.random.default_rng(7)).tolist() for _ in range(5)]
     assert a == b
@@ -154,6 +156,6 @@ def test_thompson_strong_beats_weak():
 def test_sample_top_k_exact_k_distinct(seed):
     rng = np.random.default_rng(seed)
     alphas, betas = rng.uniform(0.5, 20, 12), rng.uniform(0.5, 20, 12)
-    chosen = sample_top_k(alphas, betas, DelegationPolicy(0.4, 12).committee_size, rng)
+    chosen = sample_top_k(alphas, betas, committee_size(0.4, 12), rng)
     assert len(chosen) == 5  # round(4.8)
     assert len(set(chosen.tolist())) == 5
