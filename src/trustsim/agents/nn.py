@@ -37,10 +37,14 @@ class AgentHyperparams:
     def __post_init__(self):
         if not (0.0 < self.discount <= 1.0):
             raise ValueError("discount must lie in (0, 1]")
-        if self.eps_min > self.eps_start:
-            raise ValueError("eps_min must not exceed eps_start")
-        if self.batch_size > self.buffer_capacity:
-            raise ValueError("batch_size must not exceed buffer_capacity")
+        if not (0.0 <= self.eps_min <= self.eps_start <= 1.0):
+            raise ValueError("need 0 <= eps_min <= eps_start <= 1")
+        if self.eps_decay is not None and not (0.0 <= self.eps_decay <= 1.0):
+            raise ValueError(f"eps_decay must lie in [0, 1], got {self.eps_decay}")
+        if not (1 <= self.batch_size <= self.buffer_capacity):
+            raise ValueError("batch_size must lie in [1, buffer_capacity]")
+        if self.target_sync_every < 1 or self.marl_sync_every < 1:
+            raise ValueError("target_sync_every and marl_sync_every must be >= 1")
 
     def episode_eps_decay(self, episodes: int) -> float:
         """Factor so epsilon reaches eps_min at 80% of the episode budget."""

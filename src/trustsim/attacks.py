@@ -4,11 +4,16 @@ Attacks never write trust scores directly.  Every trust effect is emitted
 as a perturbation in evidence space (alpha boosts, beta penalties), so the
 Beta-profile invariants survive any attack schedule.  Every family is one
 function ``(cfg, state, net, rng) -> list[Perturbation]`` that updates its
-``AttackState`` in place.  Two effects carry no evidence.  BFI's eclipse
-leaves one ``(node, value)`` pair on ``AttackState.bfi_corruption``, which
-replaces that node's trust in the agent's state features without touching
-actual trust.  Activated TDP sleepers pose as honest validators: they vote
-Valid in consensus (``Attack.posing_voters``).
+``AttackState`` in place.  Two helpers emit all coalition evidence, and
+nothing at a zero magnitude: ``_endorse`` boosts each member's alpha with
+the other members as emitters, and ``_strike`` puts one beta penalty on
+each target.  Only AAA's emitter-less self-boosts (rebuild, mimicry) and
+BFI's ring endorsement are built by hand.  Two effects carry no evidence.
+BFI's eclipse leaves one ``(node, value)`` pair on
+``AttackState.bfi_corruption``, which replaces that node's trust in the
+agent's state features without touching actual trust.  Activated TDP
+sleepers pose as honest validators: they vote Valid in consensus
+(``Attack.posing_voters``).
 
 Families:
 
@@ -31,6 +36,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from itertools import zip_longest
 
 import numpy as np
 
@@ -50,7 +56,6 @@ AAA_STRATEGIES = (
 @dataclass(frozen=True)
 class AttackConfig:
     family: str = "nma"
-    base_evidence: float = 1.0
     # NMA
     nma_p_attack: float = 0.5
     nma_noise: float = 0.5
@@ -59,7 +64,6 @@ class AttackConfig:
     cra_period: int = 2
     cra_target_fraction: float = 0.25
     # AAA
-    aaa_strategy_count: int = 5
     aaa_eps_start: float = 1.0
     aaa_eps_decay: float = 0.98
     aaa_factor: float = 0.12
@@ -89,10 +93,11 @@ class AttackConfig:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        for name in ("nma_noise", "aaa_factor", "bfi_sybil_k", "bfi_endorsement_base", "bfi_strike_magnitude"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if self.cra_period < 1 or self.bfi_window < 1 or self.aaa_burst_period < 1:
             raise ValueError("periods and windows must be >= 1")
-        if not (1 <= self.aaa_strategy_count <= len(AAA_STRATEGIES)):
-            raise ValueError(f"aaa_strategy_count must lie in [1, {len(AAA_STRATEGIES)}]")
 
 
 class PerturbationKind(enum.Enum):
@@ -147,6 +152,21 @@ def _top_trust(net: NetworkState, indices: np.ndarray, count: int) -> list[int]:
     return indices[order].tolist()
 
 
+def _endorse(members: tuple, magnitude: float) -> list[Perturbation]:
+    """Each member's alpha boost, emitted by the other members; nothing at a zero magnitude."""
+    if magnitude <= 0.0:
+        return []
+    kind = PerturbationKind.BOOST_ALPHA
+    return [Perturbation(node, kind, magnitude, emitters=tuple(i for i in members if i != node)) for node in members]
+
+
+def _strike(targets, magnitude: float, emitters: tuple) -> list[Perturbation]:
+    """One beta penalty per target, emitted by ``emitters``; nothing at a zero magnitude."""
+    if magnitude <= 0.0:
+        return []
+    return [Perturbation(t, PerturbationKind.PENALIZE_BETA, magnitude, emitters=emitters) for t in targets]
+
+
 def amplified_endorsement(cfg: AttackConfig, magnitude: float) -> float:
     """Sybil amplification: endorsement evidence from a Byzantine node counts k-fold."""
     return magnitude * cfg.bfi_sybil_k
@@ -162,15 +182,7 @@ def nma_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
         return perts
     for m in net.malicious:
         if cfg.nma_p_attack > 0.0 and rng.random() < cfg.nma_p_attack:
-            target = int(honest[rng.integers(len(honest))])
-            perts.append(
-                Perturbation(
-                    target,
-                    PerturbationKind.PENALIZE_BETA,
-                    cfg.nma_noise * cfg.base_evidence,
-                    emitters=(int(m),),
-                )
-            )
+            perts += _strike((int(honest[rng.integers(len(honest))]),), cfg.nma_noise, (int(m),))
     return perts
 
 
@@ -180,82 +192,53 @@ def nma_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
 def cra_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> list[Perturbation]:
     if net.step_index % cfg.cra_period != 0:
         return []
-    malicious = net.malicious
-    honest = net.honest
-    m = len(malicious)
+    coalition = tuple(net.malicious.tolist())
+    m = len(coalition)
     if m == 0:
         return []
-    perts = []
-    all_mal = tuple(int(i) for i in malicious)
-    boost = (m - 1) * cfg.cra_intensity * cfg.base_evidence
-    if boost > 0.0:
-        for node in malicious:
-            peers = tuple(i for i in all_mal if i != int(node))
-            perts.append(Perturbation(int(node), PerturbationKind.BOOST_ALPHA, boost, emitters=peers))
-    n_targets = int(np.ceil(cfg.cra_target_fraction * len(honest)))
-    penalty = m * cfg.cra_intensity * cfg.base_evidence
-    for h in _top_trust(net, honest, n_targets):
-        perts.append(Perturbation(h, PerturbationKind.PENALIZE_BETA, penalty, emitters=all_mal))
-    return perts
+    targets = _top_trust(net, net.honest, int(np.ceil(cfg.cra_target_fraction * len(net.honest))))
+    return _endorse(coalition, (m - 1) * cfg.cra_intensity) + _strike(targets, m * cfg.cra_intensity, coalition)
 
 
 # --- AAA ---------------------------------------------------------------------
 
 
-def _aaa_apply_strategy(
-    cfg: AttackConfig, strategy: int, net: NetworkState, rng
-) -> list[Perturbation]:
+def _aaa_apply_strategy(cfg: AttackConfig, strategy: int, net: NetworkState, rng) -> list[Perturbation]:
     malicious = net.malicious
     honest = net.honest
     m = len(malicious)
     taus = net.trust_scores()
-    f = cfg.aaa_factor * cfg.base_evidence
-    coalition_boost = (m - 1) * f
-    strike = m * f
+    coalition_boost = (m - 1) * cfg.aaa_factor
+    strike = m * cfg.aaa_factor
     perts: list[Perturbation] = []
-    all_mal = tuple(int(i) for i in malicious)
+    all_mal = tuple(malicious.tolist())
     name = AAA_STRATEGIES[strategy]
 
     if name == "gradient_exploitation":
         # ride the update dynamics: rebuild when low, spend trust on strikes
         # when high; the rebuild is behavioral (not a refusable transaction)
         for node in malicious:
-            if taus[node] < 0.5:
-                if coalition_boost > 0:
-                    perts.append(Perturbation(int(node), PerturbationKind.BOOST_ALPHA, coalition_boost))
-            elif len(honest):
+            if taus[node] < 0.5 and coalition_boost > 0:
+                perts.append(Perturbation(int(node), PerturbationKind.BOOST_ALPHA, coalition_boost))
+            elif taus[node] >= 0.5 and len(honest):
                 target = int(honest[rng.integers(len(honest))])
-                perts.append(
-                    Perturbation(target, PerturbationKind.PENALIZE_BETA, strike, emitters=(int(node),))
-                )
+                perts += _strike((target,), strike, (int(node),))
     elif name == "slow_poisoning":
         # imperceptible drip on every honest node; per-perturbation magnitude <= factor
-        for h in honest:
-            perts.append(Perturbation(int(h), PerturbationKind.PENALIZE_BETA, f, emitters=all_mal))
+        perts = _strike(honest.tolist(), cfg.aaa_factor, all_mal)
     elif name == "strategic_cooperation":
-        if coalition_boost > 0:
-            for node in malicious:
-                peers = tuple(i for i in all_mal if i != int(node))
-                perts.append(
-                    Perturbation(int(node), PerturbationKind.BOOST_ALPHA, coalition_boost, emitters=peers)
-                )
-    elif name == "mimicry":
+        perts = _endorse(all_mal, coalition_boost)
+    elif name == "mimicry" and len(honest):
         # behavioral imitation of the top honest node; no transaction to refuse
-        if len(honest):
-            top = _top_trust(net, honest, 1)[0]
-            for node in malicious:
-                if taus[node] < taus[top] and coalition_boost > 0:
-                    perts.append(Perturbation(int(node), PerturbationKind.BOOST_ALPHA, coalition_boost))
-    elif name == "temporal_coordination":
-        if net.step_index % cfg.aaa_burst_period == 0 and len(honest):
-            top = _top_trust(net, honest, 1)[0]
-            for node in malicious:
-                peers = tuple(i for i in all_mal if i != int(node))
-                perts.append(Perturbation(top, PerturbationKind.PENALIZE_BETA, strike, emitters=all_mal))
-                if coalition_boost > 0:
-                    perts.append(
-                        Perturbation(int(node), PerturbationKind.BOOST_ALPHA, coalition_boost, emitters=peers)
-                    )
+        top = _top_trust(net, honest, 1)[0]
+        for node in malicious:
+            if taus[node] < taus[top] and coalition_boost > 0:
+                perts.append(Perturbation(int(node), PerturbationKind.BOOST_ALPHA, coalition_boost))
+    elif name == "temporal_coordination" and net.step_index % cfg.aaa_burst_period == 0 and len(honest):
+        # per member: strike the top honest node, then endorse that member
+        strikes = _strike(_top_trust(net, honest, 1) * m, strike, all_mal)
+        boosts = _endorse(all_mal, coalition_boost)
+        perts = [p for pair in zip_longest(strikes, boosts) for p in pair if p is not None]
     return perts
 
 
@@ -265,15 +248,13 @@ def aaa_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
         return []
     mean_now = float(net.trust_scores()[malicious].mean())
     if state.aaa_prev_strategy is not None:
-        delta = mean_now - state.aaa_prev_mean_trust
         prev = state.aaa_prev_strategy
-        state.aaa_scores[prev] = 0.8 * state.aaa_scores[prev] + 0.2 * delta
+        state.aaa_scores[prev] = 0.8 * state.aaa_scores[prev] + 0.2 * (mean_now - state.aaa_prev_mean_trust)
 
-    n_strategies = cfg.aaa_strategy_count
     if rng.random() < state.aaa_eps:
-        strategy = int(rng.integers(n_strategies))
+        strategy = int(rng.integers(len(AAA_STRATEGIES)))
     else:
-        strategy = int(np.argmax(state.aaa_scores[:n_strategies]))
+        strategy = int(np.argmax(state.aaa_scores))
     state.aaa_eps = state.aaa_eps * cfg.aaa_eps_decay
 
     perts = _aaa_apply_strategy(cfg, strategy, net, rng)
@@ -312,28 +293,19 @@ def bfi_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
 
     # coalition endorsements only while lying low; each endorsement is
     # sybil-amplified because the k virtual identities co-sign it
-    if state.bfi_phase == "RECOVERY" and len(byz) > 1 and cfg.bfi_endorsement_base > 0.0:
-        magnitude = amplified_endorsement(cfg, cfg.bfi_endorsement_base * cfg.base_evidence)
+    magnitude = amplified_endorsement(cfg, cfg.bfi_endorsement_base)
+    if state.bfi_phase == "RECOVERY" and len(byz) > 1 and magnitude > 0.0:
         m = len(byz)
         shift = 1 + state.bfi_endorse_cursor % (m - 1)  # ring offset, never self
         for j in range(m):
-            peer = int(byz[(j + shift) % m])
-            perts.append(
-                Perturbation(peer, PerturbationKind.BOOST_ALPHA, magnitude, emitters=(int(byz[j]),))
-            )
+            perts.append(Perturbation(int(byz[(j + shift) % m]), PerturbationKind.BOOST_ALPHA, magnitude,
+                                      emitters=(int(byz[j]),)))
         state.bfi_endorse_cursor += 1
 
     if net.step_index % cfg.bfi_window == 0 and len(honest):
-        top = _top_trust(net, honest, 1)[0]
-        for b in byz:
-            perts.append(
-                Perturbation(
-                    top,
-                    PerturbationKind.PENALIZE_BETA,
-                    cfg.bfi_strike_magnitude * cfg.base_evidence,
-                    emitters=(int(b),),
-                )
-            )
+        top = _top_trust(net, honest, 1)
+        for b in byz.tolist():
+            perts += _strike(top, cfg.bfi_strike_magnitude, (b,))
 
     target = state.bfi_eclipse_target
     if target is not None:
@@ -352,25 +324,12 @@ def tdp_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
         # run is indistinguishable from one with no attack attached
         return []
 
-    sleepers = net.malicious
-    honest = net.honest
+    sleepers = tuple(net.malicious.tolist())
     m = len(sleepers)
     if m == 0:
         return []
-    perts: list[Perturbation] = []
-
-    all_sleepers = tuple(int(i) for i in sleepers)
-    n_targets = int(np.ceil(cfg.tdp_target_ratio * len(honest)))
-    penalty = m * cfg.tdp_intensity * cfg.base_evidence
-    for h in _top_trust(net, honest, n_targets):
-        perts.append(Perturbation(h, PerturbationKind.PENALIZE_BETA, penalty, emitters=all_sleepers))
-
-    boost = (m - 1) * cfg.tdp_intensity * cfg.base_evidence
-    if boost > 0.0:
-        for s in sleepers:
-            peers = tuple(i for i in all_sleepers if i != int(s))
-            perts.append(Perturbation(int(s), PerturbationKind.BOOST_ALPHA, boost, emitters=peers))
-    return perts
+    targets = _top_trust(net, net.honest, int(np.ceil(cfg.tdp_target_ratio * len(net.honest))))
+    return _strike(targets, m * cfg.tdp_intensity, sleepers) + _endorse(sleepers, (m - 1) * cfg.tdp_intensity)
 
 
 # --- driver used by the environment ------------------------------------------

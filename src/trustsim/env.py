@@ -89,6 +89,8 @@ class RewardConfig:
     def __post_init__(self):
         if min(self.w_f1, self.w_step, self.w_fn) < 0:
             raise ValueError("reward weights must be nonnegative")
+        if self.kappa_max <= 0:
+            raise ValueError(f"kappa_max must be > 0, got {self.kappa_max}")
 
 
 def collusion_score(tau_honest_mean: float, tau_malicious_mean: float, kappa_max: float = 10.0) -> float:
@@ -231,6 +233,12 @@ class EnvConfig:
     batch_size: int = 10
     theta: float = 0.45
     detect_p: float = 0.6
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if not (0.0 <= self.detect_p <= 1.0):
+            raise ValueError(f"detect_p must lie in [0, 1], got {self.detect_p}")
 
 
 class SimulationError(RuntimeError):

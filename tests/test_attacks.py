@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trustsim.attacks import (
+    AAA_STRATEGIES,
     Attack,
     AttackConfig,
     Perturbation,
@@ -297,6 +298,55 @@ def test_tdp_sleeper_boosts_are_mutual():
         assert set(p.emitters) == sleepers - {p.target}
 
 
+# --- coalition shapes ---------------------------------------------------
+
+# Eight nodes with distinct trust; the coalition is one node or three.
+# Each expected list is the exact (target, kind, magnitude, emitters) stream.
+COALITION_SHAPES = {
+    (1, "cra"): [(0, "penalize_beta", 0.85, (2,)), (4, "penalize_beta", 0.85, (2,))],
+    (1, "tdp"): [(0, "penalize_beta", 0.75, (2,)), (4, "penalize_beta", 0.75, (2,)),
+                 (5, "penalize_beta", 0.75, (2,))],
+    (1, "strategic_cooperation"): [],
+    (1, "temporal_coordination"): [(0, "penalize_beta", 0.12, (2,))],
+    (3, "cra"): [(1, "boost_alpha", 1.7, (4, 6)), (4, "boost_alpha", 1.7, (1, 6)),
+                 (6, "boost_alpha", 1.7, (1, 4)), (0, "penalize_beta", 2.55, (1, 4, 6)),
+                 (2, "penalize_beta", 2.55, (1, 4, 6))],
+    (3, "tdp"): [(0, "penalize_beta", 2.25, (1, 4, 6)), (2, "penalize_beta", 2.25, (1, 4, 6)),
+                 (1, "boost_alpha", 1.5, (4, 6)), (4, "boost_alpha", 1.5, (1, 6)),
+                 (6, "boost_alpha", 1.5, (1, 4))],
+    (3, "strategic_cooperation"): [(1, "boost_alpha", 0.24, (4, 6)), (4, "boost_alpha", 0.24, (1, 6)),
+                                   (6, "boost_alpha", 0.24, (1, 4))],
+    (3, "temporal_coordination"): [(0, "penalize_beta", 0.36, (1, 4, 6)), (1, "boost_alpha", 0.24, (4, 6)),
+                                   (0, "penalize_beta", 0.36, (1, 4, 6)), (4, "boost_alpha", 0.24, (1, 6)),
+                                   (0, "penalize_beta", 0.36, (1, 4, 6)), (6, "boost_alpha", 0.24, (1, 4))],
+}
+
+
+@pytest.mark.parametrize("size, emission", COALITION_SHAPES, ids=lambda v: str(v))
+def test_coalition_emission_sequence(size, emission):
+    mask = np.zeros(8, dtype=bool)
+    mask[{1: [2], 3: [1, 4, 6]}[size]] = True
+    net = NetworkState(alphas=np.array([9.0, 5.0, 7.0, 3.0, 8.0, 6.0, 4.0, 2.0]), betas=np.full(8, 5.0),
+                       malicious_mask=mask)
+    rng = np.random.default_rng(0)
+    if emission == "cra":
+        cfg = AttackConfig(family="cra")
+        perts = cra_step(cfg, new_state(cfg), net, rng)
+    elif emission == "tdp":
+        cfg = AttackConfig(family="tdp")
+        net.episode_index = 25
+        perts = tdp_step(cfg, new_state(cfg), net, rng)
+    else:
+        cfg = AttackConfig(family="aaa")
+        state = new_state(cfg)
+        state.aaa_eps = 0.0
+        state.aaa_scores = np.eye(len(AAA_STRATEGIES))[AAA_STRATEGIES.index(emission)]
+        perts = aaa_step(cfg, state, net, rng)
+        assert AAA_STRATEGIES[state.aaa_prev_strategy] == emission
+    got = [(p.target, p.kind.value, p.magnitude, p.emitters) for p in perts]
+    assert got == COALITION_SHAPES[(size, emission)]
+
+
 # --- perturbation application -------------------------------------------
 
 
@@ -350,3 +400,6 @@ def test_attack_config_validation():
         AttackConfig(nma_p_attack=1.5)
     with pytest.raises(ValueError):
         AttackConfig(cra_period=0)
+    for name in ("nma_noise", "aaa_factor", "bfi_sybil_k", "bfi_endorsement_base", "bfi_strike_magnitude"):
+        with pytest.raises(ValueError):
+            AttackConfig(**{name: -1})

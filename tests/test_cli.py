@@ -270,6 +270,21 @@ def test_cli_rejects_bad_agent(capsys):
         ["--attack", "nma", "--set", "attack.family=cra"],
         ["--set", "env.kappa_max=1"],
         ["--set", "env.steps_per_episode=7"],
+        ["--set", "attack.base_evidence=1"],
+        ["--set", "attack.aaa_strategy_count=5"],
+        ["--set", "attack.nma_noise=-0.5"],
+        ["--set", "attack.aaa_factor=-0.1"],
+        ["--set", "attack.bfi_strike_magnitude=-0.3"],
+        ["--set", "attack.bfi_endorsement_base=-0.05"],
+        ["--set", "attack.bfi_sybil_k=-1"],
+        ["--set", "agent_hyperparams.eps_start=2"],
+        ["--set", "agent_hyperparams.eps_decay=1.5"],
+        ["--set", "agent_hyperparams.batch_size=0"],
+        ["--set", "agent_hyperparams.target_sync_every=0"],
+        ["--set", "agent_hyperparams.marl_sync_every=0"],
+        ["--set", "env.batch_size=0"],
+        ["--set", "env.detect_p=2"],
+        ["--set", "reward.kappa_max=0"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -284,6 +299,21 @@ def test_cli_rejects_bad_agent(capsys):
         "attack-family-key",
         "env-kappa-max-key",
         "env-steps-per-episode-key",
+        "attack-base-evidence-key",
+        "attack-aaa-strategy-count-key",
+        "negative-nma-noise",
+        "negative-aaa-factor",
+        "negative-bfi-strike",
+        "negative-bfi-endorsement",
+        "negative-bfi-sybil-k",
+        "eps-start-above-one",
+        "eps-decay-above-one",
+        "zero-agent-batch",
+        "zero-target-sync",
+        "zero-marl-sync",
+        "zero-env-batch",
+        "detect-p-above-one",
+        "zero-kappa-max",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
@@ -294,6 +324,25 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert "matrix:" not in captured.out
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "attack, strength",
+    [("nma", "nma_noise"), ("cra", "cra_intensity"), ("aaa", "aaa_factor"),
+     ("bfi", "bfi_strike_magnitude"), ("tdp", "tdp_intensity")],
+)
+def test_zero_attack_strength_runs_and_strikes_nothing(attack, strength, tmp_path):
+    out = tmp_path / attack
+    argv = ["--agent", "rl", "--attack", attack, "--episodes", "2", "--steps", "20", "--allow-short-tdp",
+            "--out", str(out), "--set", f"attack.{strength}=0", "--set", "attack.tdp_activation_episode=1",
+            "--set", "experiment.log_evidence=true"]
+    assert main(argv) == 0
+    assert len((out / "episodes.csv").read_text().splitlines()) == 3
+    with open(out / "evidence.csv") as fh:
+        attack_rows = [row for row in csv.reader(fh) if row[2] == "attack"]
+    # BFI's ring endorsement has a strength of its own; every other emission scales with the zeroed one
+    assert not [row for row in attack_rows if row[4].startswith("penalize_beta")]
+    assert attack == "bfi" or not attack_rows
 
 
 def test_config_rejects_out_of_range_population():

@@ -3,9 +3,10 @@
 Each cell runs 3 episodes x 100 steps at seed 42, with TDP's sleepers
 active from episode 1, and digests ``episodes.csv``, ``summary.csv``,
 ``confusion.csv`` and ``agent.ckpt``.  A second run of the same cell with
-``log_evidence=True`` must write the same four files, and also digests the
-in-memory evidence log (one ``episode,step,source,node,kind`` line per
-entry) and the final trust masses (``alphas.tobytes() + betas.tobytes()``).
+``log_evidence=True`` must write the same four files plus ``evidence.csv``,
+and also digests that file's lines after its header (one
+``episode,step,source,node,kind`` line per entry) and the final trust masses
+(``alphas.tobytes() + betas.tobytes()``).
 Generator streams depend on the numpy version, so the digests are checked
 only under the version that recorded them.
 
@@ -61,10 +62,13 @@ def run_digests(cell, out_dir, log_evidence=False) -> dict:
         runner.simulate = simulate
 
     digests = {name: sha256((Path(out_dir) / name).read_bytes()) for name in CONTRACT_FILES}
+    evidence = Path(out_dir) / "evidence.csv"
+    assert evidence.exists() == log_evidence
     if log_evidence:
+        header, *lines = evidence.read_bytes().splitlines(keepends=True)
+        assert header == b"episode,step,source,node,kind\n"
+        digests["evidence_log"] = sha256(b"".join(lines))
         env = captured["env"]
-        lines = "".join(",".join(str(field) for field in entry) + "\n" for entry in env.evidence_log)
-        digests["evidence_log"] = sha256(lines.encode("utf-8"))
         digests["final_masses"] = sha256(env.net.alphas.tobytes() + env.net.betas.tobytes())
     return digests
 
