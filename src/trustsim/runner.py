@@ -100,7 +100,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True):
 
     final = records[-1].confusion
     write_csv(out / "confusion.csv", ("tp", "fp", "fn", "tn"), [(final.tp, final.fp, final.fn, final.tn)])
-    if env.evidence_log is not None:
+    if cfg.log_evidence:
         write_csv(out / "evidence.csv", ("episode", "step", "source", "node", "kind"), env.evidence_log)
 
     save_agent(agent, out / "agent.ckpt", seed=cfg.seed)
