@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import itertools
 import json
 import re
 from dataclasses import dataclass
@@ -262,7 +263,10 @@ class SimulatedFheBackend:
     identical plaintexts never share a payload.  Evaluation decrypts
     internally, runs the plaintext engine, and re-encrypts the decision;
     ``eval_rows`` does the same for many ciphertexts at once with a
-    compiled policy.
+    compiled policy.  Sealing and opening take lists: a batch is masked with
+    one XOR over its concatenated messages, and each distinct plaintext is
+    parsed once per backend (a simulation presents at most 101 attribute
+    plaintexts and 2 decisions).
     This reproduces the pipeline semantics only; it offers no cryptographic
     strength and says so in its tag.
     """
@@ -273,20 +277,23 @@ class SimulatedFheBackend:
         self._rng = np.random.default_rng(np.random.SeedSequence([0x5EC12E7, seed]))
         self._key = self._rng.bytes(32)
         self.schema = dict(DEFAULT_SCHEMA if schema is None else schema)
+        self._parsed: dict[bytes, object] = {}
 
-    # keystream = blake2b(key || nonce || counter blocks)
-    def _mask(self, nonce: bytes, data: bytes) -> bytes:
-        size = len(data)
-        prefix = self._key + nonce
-        stream = b"".join(
-            [
-                hashlib.blake2b(prefix + block.to_bytes(4, "little"), digest_size=64).digest()
-                for block in range(-(-size // 64))
-            ]
-        )
-        # one XOR of the message and its keystream read as two integers
-        masked = int.from_bytes(data, "little") ^ int.from_bytes(stream[:size], "little")
-        return masked.to_bytes(size, "little")
+    def _mask(self, nonces: list, messages: list) -> list[bytes]:
+        """Each message XOR its keystream, blake2b(key || nonce || counter) per
+        64-byte block, as one XOR of the concatenations read as two integers."""
+        key = self._key
+        # a message's last block is cut to its length, so the blocks join into the keystreams back to back
+        blocks = [
+            hashlib.blake2b(key + nonce + i.to_bytes(4, "little"), digest_size=64).digest()[: len(data) - 64 * i]
+            for nonce, data in zip(nonces, messages)
+            for i in range(-(-len(data) // 64))
+        ]
+        stream = b"".join(blocks)
+        masked = int.from_bytes(b"".join(messages), "little") ^ int.from_bytes(stream, "little")
+        masked = masked.to_bytes(len(stream), "little")
+        ends = list(itertools.accumulate(map(len, messages)))
+        return [masked[end - len(data) : end] for data, end in zip(messages, ends)]
 
     def draw_nonces(self, count: int) -> list[bytes]:
         """``count`` fresh nonces from one draw; the same bytes ``count`` seals would draw."""
@@ -295,17 +302,22 @@ class SimulatedFheBackend:
         pool = self._rng.bytes(NONCE_BYTES * count)
         return [pool[i : i + NONCE_BYTES] for i in range(0, len(pool), NONCE_BYTES)]
 
-    def seal_bytes(self, nonce: bytes, plain: bytes) -> Ciphertext:
-        return Ciphertext(self.tag, nonce + self._mask(nonce, plain))
+    def seal(self, nonces: list, plains: list) -> list[Ciphertext]:
+        """Plaintext i sealed under ``nonces[i]``."""
+        return [Ciphertext(self.tag, nonce + body) for nonce, body in zip(nonces, self._mask(nonces, plains))]
 
     def _seal(self, obj) -> Ciphertext:
-        return self.seal_bytes(self._rng.bytes(NONCE_BYTES), json.dumps(obj, sort_keys=True).encode("utf-8"))
+        return self.seal([self._rng.bytes(NONCE_BYTES)], [json.dumps(obj, sort_keys=True).encode("utf-8")])[0]
 
-    def _open(self, ct: Ciphertext):
-        if ct.backend_tag != self.tag:
-            raise AbacError(f"ciphertext belongs to backend {ct.backend_tag!r}, not {self.tag!r}")
-        nonce, body = ct.payload[:NONCE_BYTES], ct.payload[NONCE_BYTES:]
-        return json.loads(self._mask(nonce, body).decode("utf-8"))
+    def _open(self, cts: list) -> list:
+        """The plaintext object of each ciphertext, shared with every other opening of the same bytes."""
+        for ct in cts:
+            if ct.backend_tag != self.tag:
+                raise AbacError(f"ciphertext belongs to backend {ct.backend_tag!r}, not {self.tag!r}")
+        plains = self._mask([ct.payload[:NONCE_BYTES] for ct in cts], [ct.payload[NONCE_BYTES:] for ct in cts])
+        for plain in set(plains) - self._parsed.keys():
+            self._parsed[plain] = json.loads(plain.decode("utf-8"))
+        return [self._parsed[plain] for plain in plains]
 
     def check_rows(self, columns: tuple, matrix: np.ndarray) -> None:
         """The schema check of ``encrypt_attributes`` over a whole attribute matrix.
@@ -334,10 +346,10 @@ class SimulatedFheBackend:
 
     def decrypt_attributes(self, ct: Ciphertext) -> AttributeSet:
         """Backend-internal test hook for the round-trip contract."""
-        return AttributeSet(self._open(ct))
+        return AttributeSet(dict(self._open([ct])[0]))
 
     def eval_policy(self, policy: Policy, ct: Ciphertext) -> Ciphertext:
-        attrs = AttributeSet(self._open(ct))
+        attrs = AttributeSet(self._open([ct])[0])
         missing = policy_attributes(policy) - set(attrs.values)
         if missing:
             raise AbacError(f"policy references attributes absent from ciphertext: {sorted(missing)}")
@@ -348,21 +360,23 @@ class SimulatedFheBackend:
         """Open every attribute ciphertext, decide all rows with one call of the
         compiled ``predicate`` and seal decision i under ``nonces[i]``."""
         rows = []
-        for ct in cts:
-            values = self._open(ct)
+        for values in self._open(cts):
             try:
                 rows.append([values[name] for name in columns])
             except KeyError as err:
                 raise AbacError(f"ciphertext lacks attribute {err.args[0]!r}") from None
         # the reshape keeps an empty batch two-dimensional for the predicate
         decisions = predicate(np.array(rows, dtype=np.int64).reshape(len(rows), len(columns)))
-        return [self.seal_bytes(nonce, _DECISION_JSON[d]) for nonce, d in zip(nonces, decisions.tolist())]
+        return self.seal(nonces, [_DECISION_JSON[d] for d in decisions.tolist()])
+
+    def decrypt_decisions(self, cts: list) -> list[bool]:
+        objs = self._open(cts)
+        if any(set(obj) != {"decision"} for obj in objs):
+            raise AbacError("ciphertext does not hold a decision")
+        return [bool(obj["decision"]) for obj in objs]
 
     def decrypt_decision(self, ct: Ciphertext) -> bool:
-        obj = self._open(ct)
-        if set(obj) != {"decision"}:
-            raise AbacError("ciphertext does not hold a decision")
-        return bool(obj["decision"])
+        return self.decrypt_decisions([ct])[0]
 
 
 # --- the gate used by the simulation ----------------------------------------
@@ -378,9 +392,10 @@ class PolicyGate:
     the predicate on the matrix directly; ``mode="encrypted"`` seals each
     node's row in its own ciphertext under its own nonce, and the backend
     opens them all, decides every row in one pass and seals each decision
-    for the gate to open.  The two modes are parity-tested and produce
-    identical decisions; plain is the default because it skips the
-    sealing and opening, which cost over ten times the decision itself.
+    for the gate to open; each of the three stages is one batched call.
+    The two modes are parity-tested and produce identical decisions; plain
+    is the default because it skips the sealing and opening, which cost
+    over ten times the decision itself.
     """
 
     def __init__(self, policy: Policy | None = None, mode: str = "plain", backend=None):
@@ -428,6 +443,6 @@ class PolicyGate:
         # node i seals its attributes under nonce 2i and its decision under
         # nonce 2i + 1, the order of a per-node encrypt/eval/decrypt loop
         nonces = backend.draw_nonces(2 * len(matrix))
-        cts = [backend.seal_bytes(nonce, self._encode(q)) for nonce, q in zip(nonces[0::2], matrix[:, 0].tolist())]
+        cts = backend.seal(nonces[0::2], [self._encode(q) for q in matrix[:, 0].tolist()])
         decisions = backend.eval_rows(self._predicate, self._columns, cts, nonces[1::2])
-        return np.flatnonzero(np.array([backend.decrypt_decision(ct) for ct in decisions], dtype=bool))
+        return np.array(backend.decrypt_decisions(decisions), dtype=bool).nonzero()[0]

@@ -10,6 +10,7 @@ vector; the per-layer weights and biases are reshaped views into it.
 from __future__ import annotations
 
 import copy
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,6 +46,10 @@ class AgentHyperparams:
             raise ValueError("batch_size must lie in [1, buffer_capacity]")
         if self.target_sync_every < 1 or self.marl_sync_every < 1:
             raise ValueError("target_sync_every and marl_sync_every must be >= 1")
+        if min((*self.hidden_sizes, self.head_hidden)) < 1:
+            raise ValueError("hidden_sizes and head_hidden must be >= 1")
+        if not (self.learning_rate > 0.0 and self.tabular_learning_rate > 0.0):
+            raise ValueError("learning_rate and tabular_learning_rate must be > 0")
 
     def episode_eps_decay(self, episodes: int) -> float:
         """Factor so epsilon reaches eps_min at 80% of the episode budget."""
@@ -74,7 +79,9 @@ class DuelingNetwork:
 
     ``layout`` lists each parameter's name and shape in checkpoint order;
     ``flat`` holds them all back to back and ``grad`` is the matching
-    gradient buffer that ``backward`` fills (``None`` on a clone).
+    gradient buffer that ``backward`` fills (``None`` on a clone).  Forward
+    and backward write their activations and partial gradients into scratch
+    buffers kept per batch shape.
     """
 
     def __init__(
@@ -104,6 +111,7 @@ class DuelingNetwork:
                 (f"{head}_b1", (out_dim,)),
             ]
         size = sum(int(np.prod(shape)) for _, shape in self.layout)
+        self._buffers: dict[tuple, np.ndarray] = {}
         self._bind(np.zeros(size))
         for p in layout_views(self.flat, self.layout):
             if p.ndim == 2:  # weights drawn in layout order; biases stay zero
@@ -139,75 +147,88 @@ class DuelingNetwork:
         networks): it draws no weights and has no gradient buffer."""
         twin = copy.copy(self)  # topology and layout; the parameters are rebound below
         twin._bind(self.flat.copy())
+        twin._buffers = {}
         twin.grad = twin._grad_trunk = twin._grad_value = twin._grad_adv = None
         return twin
 
-    def _forward(self, x: np.ndarray, keep_cache: bool):
-        cache = {"x": x, "trunk": []} if keep_cache else None
-        h = x
-        for w, b in zip(self.trunk_w, self.trunk_b):
-            h = np.maximum(h @ w + b, 0.0)
-            if keep_cache:
-                cache["trunk"].append(h)
-        vh = np.maximum(h @ self.vw0 + self.vb0, 0.0)
-        v = vh @ self.vw1 + self.vb1
-        ah = np.maximum(h @ self.aw0 + self.ab0, 0.0)
-        a = ah @ self.aw1 + self.ab1
-        q = v + a - a.mean(axis=1, keepdims=True)
-        if keep_cache:
-            cache["vh"] = vh
-            cache["ah"] = ah
-        return q, cache
+    def _scratch(self, name, shape: tuple, dtype=float) -> np.ndarray:
+        """The buffer ``name`` of ``shape``, made on first use and reused after."""
+        buf = self._buffers.get((name, shape))
+        if buf is None:
+            buf = self._buffers[(name, shape)] = np.empty(shape, dtype)
+        return buf
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Batch of states -> batch of Q rows. Raises on non-finite output."""
-        single = x.ndim == 1
-        if single:
-            x = x[None, :]
-        q, _ = self._forward(x, keep_cache=False)
-        if not np.all(np.isfinite(q)):
-            raise FloatingPointError("non-finite activations in Q forward pass")
-        return q[0] if single else q
+        """Batch of states -> batch of Q rows, a fresh array. Raises on non-finite output."""
+        q, _ = self.forward_cached(x[None, :] if x.ndim == 1 else x)
+        return q[0] if x.ndim == 1 else q
 
     def forward_cached(self, x: np.ndarray):
-        q, cache = self._forward(x, keep_cache=True)
-        if not np.all(np.isfinite(q)):
+        """Q rows for the batch ``x`` (a fresh array) and the activations ``backward`` reads: this
+        network's scratch for ``len(x)`` rows, which the next pass over as many rows overwrites."""
+        rows = len(x)
+        trunk = [self._scratch(i, (rows, width)) for i, width in enumerate(self.hidden_sizes)]
+        h = x
+        for w, b, out in zip(self.trunk_w, self.trunk_b, trunk):
+            h = _affine(h, w, b, out, relu=True)
+        vh = _affine(h, self.vw0, self.vb0, self._scratch("vh", (rows, self.head_hidden)), relu=True)
+        v = _affine(vh, self.vw1, self.vb1, self._scratch("v", (rows, 1)), relu=False)
+        ah = _affine(h, self.aw0, self.ab0, self._scratch("ah", (rows, self.head_hidden)), relu=True)
+        a = _affine(ah, self.aw1, self.ab1, self._scratch("a", (rows, self.n_actions)), relu=False)
+        # numpy's mean is this sum divided by the count
+        q = v + a
+        q -= np.add.reduce(a, axis=1, keepdims=True) / self.n_actions
+        if not np.isfinite(q).all():
             raise FloatingPointError("non-finite activations in Q forward pass")
-        return q, cache
+        return q, (x, trunk, vh, ah)
 
-    def backward(self, cache: dict, dq: np.ndarray) -> np.ndarray:
-        """Gradient of a scalar loss wrt ``flat``, given dL/dQ.
-
-        Returns ``self.grad``, which the next call overwrites.
-        """
+    def backward(self, cache, dq: np.ndarray) -> np.ndarray:
+        """Gradient of a scalar loss wrt ``flat``, given dL/dQ for the first ``len(dq)`` rows of the
+        pass that ``cache`` holds.  Returns ``self.grad``, which the next call overwrites."""
+        rows = len(dq)
+        x, trunk, vh, ah = cache
+        x, vh, ah, trunk = x[:rows], vh[:rows], ah[:rows], [h[:rows] for h in trunk]
         # combine layer: q_ij = v_i + a_ij - mean_j' a_ij'
-        da = dq - dq.mean(axis=1, keepdims=True)
-        dv = dq.sum(axis=1, keepdims=True)
+        dv = np.add.reduce(dq, axis=1, keepdims=True)
+        da = dq - dv / self.n_actions
 
-        h_last = cache["trunk"][-1] if cache["trunk"] else cache["x"]
-        dh = self._head_backward(h_last, cache["vh"], dv, self.vw0, self.vw1, self._grad_value)
-        dh = dh + self._head_backward(h_last, cache["ah"], da, self.aw0, self.aw1, self._grad_adv)
+        h_last = trunk[-1] if trunk else x
+        dh = self._head_backward(h_last, vh, dv, self.vw0, self.vw1, self._grad_value, "value")
+        dh += self._head_backward(h_last, ah, da, self.aw0, self.aw1, self._grad_adv, "adv")
 
         for i in range(len(self.trunk_w) - 1, -1, -1):
-            dz = dh * (cache["trunk"][i] > 0.0)
-            prev = cache["trunk"][i - 1] if i > 0 else cache["x"]
+            dz = _relu_grad(dh, trunk[i], self._scratch("mask", dh.shape, bool))
+            prev = trunk[i - 1] if i > 0 else x
             g_w, g_b = self._grad_trunk[i]
             np.matmul(prev.T, dz, out=g_w)
-            np.sum(dz, axis=0, out=g_b)
+            np.add.reduce(dz, axis=0, out=g_b)
             if i > 0:
-                dh = dz @ self.trunk_w[i].T
+                dh = np.matmul(dz, self.trunk_w[i].T, out=self._scratch("dh", prev.shape))
         return self.grad
 
-    @staticmethod
-    def _head_backward(h_last, hidden, dout, w0, w1, grads) -> np.ndarray:
-        """Write one head's gradients into ``grads``; return dL/d(h_last)."""
+    def _head_backward(self, h_last, hidden, dout, w0, w1, grads, head: str) -> np.ndarray:
+        """Write one head's gradients into ``grads``; return dL/d(h_last) in scratch."""
         g_w0, g_b0, g_w1, g_b1 = grads
         np.matmul(hidden.T, dout, out=g_w1)
-        np.sum(dout, axis=0, out=g_b1)
-        dhidden = (dout @ w1.T) * (hidden > 0.0)
+        np.add.reduce(dout, axis=0, out=g_b1)
+        dhidden = np.matmul(dout, w1.T, out=self._scratch(head, hidden.shape))
+        _relu_grad(dhidden, hidden, self._scratch("mask", hidden.shape, bool))
         np.matmul(h_last.T, dhidden, out=g_w0)
-        np.sum(dhidden, axis=0, out=g_b0)
-        return dhidden @ w0.T
+        np.add.reduce(dhidden, axis=0, out=g_b0)
+        return np.matmul(dhidden, w0.T, out=self._scratch(head + "_dh", h_last.shape))
+
+
+def _affine(h, w, b, out, relu: bool) -> np.ndarray:
+    """``h @ w + b`` into ``out``, then ReLU when ``relu``: the steps of the expression, in place."""
+    np.matmul(h, w, out=out)
+    out += b
+    return np.maximum(out, 0.0, out=out) if relu else out
+
+
+def _relu_grad(d, activation, mask) -> np.ndarray:
+    """``d * (activation > 0.0)`` in place, the boolean mask cast by the multiply as before."""
+    np.greater(activation, 0.0, out=mask)
+    return np.multiply(d, mask, out=d)
 
 
 class Adam:
@@ -257,58 +278,54 @@ class Adam:
         self.params -= s1
 
 
-def double_q_targets(
-    rewards: np.ndarray,
-    next_states: np.ndarray,
-    online: DuelingNetwork,
-    target: DuelingNetwork,
-    discount: float,
-) -> np.ndarray:
-    """Vectorized double-Q backup: online net picks, target net evaluates."""
-    q_online = online.forward(next_states)
-    a_star = np.argmax(q_online, axis=1)
-    q_target = target.forward(next_states)
-    boot = q_target[np.arange(len(a_star)), a_star]
-    return rewards + discount * boot
+def double_q_targets(rewards, states, next_states, online: DuelingNetwork, target: DuelingNetwork, discount: float):
+    """Vectorized double-Q backup: online net picks, target net evaluates.
+
+    One online pass runs over ``states`` stacked on ``next_states``; its second half picks the bootstrap
+    actions.  Returns the targets and that pass, ``(q, cache)``, for ``td_loss_and_grads``."""
+    q, cache = online.forward_cached(np.concatenate((states, next_states)))
+    a_star = q[len(states) :].argmax(axis=1)
+    boot = target.forward(next_states)[np.arange(len(a_star)), a_star]
+    return rewards + discount * boot, (q, cache)
 
 
-def td_loss_and_grads(
-    net: DuelingNetwork,
-    states: np.ndarray,
-    actions: np.ndarray,
-    targets: np.ndarray,
-    td_clip: float,
-):
-    """Mean squared clipped TD error and its exact parameter gradients."""
-    q, cache = net.forward_cached(states)
+def td_loss_and_grads(net: DuelingNetwork, online_pass, actions: np.ndarray, targets: np.ndarray, td_clip: float):
+    """Mean squared clipped TD error and its exact parameter gradients.  ``online_pass`` is
+    ``net.forward_cached`` of a batch whose first ``len(actions)`` rows are the states."""
+    q, cache = online_pass
     rows = np.arange(len(actions))
     delta = q[rows, actions] - targets
-    clipped = np.clip(delta, -td_clip, td_clip)
+    # np.clip and np.mean are these steps behind Python-level wrappers
+    clipped = np.minimum(np.maximum(delta, -td_clip), td_clip)
     inside = (np.abs(delta) <= td_clip).astype(float)
-    loss = float(np.mean(clipped**2))
-    dq = np.zeros_like(q)
+    loss = float(np.add.reduce(clipped**2) / len(actions))
+    dq = np.zeros((len(actions), q.shape[1]))
     dq[rows, actions] = 2.0 * clipped * inside / len(actions)
     return loss, net.backward(cache, dq)
+
+
+def replay_columns(rows: int, state_dim: int):
+    """``(states, next_states, rewards, actions)`` for ``rows`` transitions, views into one zeroed 8-byte block.
+
+    The block is an anonymous private mapping, whose pages stay untouched, and not resident, until a write reaches
+    them.  ``np.zeros`` does that only below 4 MiB: from 4 MiB numpy asks for transparent huge pages, and where THP
+    is in ``madvise`` mode a write then makes 2 MiB resident.  Separate columns from the heap would be resident in full.
+    """
+    n = rows * state_dim
+    block = np.frombuffer(mmap.mmap(-1, 8 * (2 * n + 2 * rows), flags=mmap.MAP_PRIVATE), dtype=np.float64)
+    states, next_states = block[:n].reshape(rows, state_dim), block[n : 2 * n].reshape(rows, state_dim)
+    return states, next_states, block[2 * n : 2 * n + rows], block[2 * n + rows :].view(np.int64)  # zero bits: int64 0
 
 
 class ReplayBuffer:
     """Fixed-capacity ring of transitions with uniform no-replacement sampling.
 
-    Every column is a view into one zeroed 8-byte block.  As one large
-    allocation it comes from fresh zero pages that stay untouched until a
-    push writes them.  Separate small columns would come from the heap,
-    where recycled memory is zeroed, and so made resident, in full: resident
-    memory would then depend on how earlier allocations had left the heap.
+    Its columns come from ``replay_columns``.
     """
 
     def __init__(self, capacity: int, state_dim: int):
         self.capacity = capacity
-        n = capacity * state_dim
-        block = np.zeros(2 * n + 2 * capacity)
-        self.states = block[:n].reshape(capacity, state_dim)
-        self.next_states = block[n : 2 * n].reshape(capacity, state_dim)
-        self.rewards = block[2 * n : 2 * n + capacity]
-        self.actions = block[2 * n + capacity :].view(np.int64)  # zero bits are int64 zero
+        self.states, self.next_states, self.rewards, self.actions = replay_columns(capacity, state_dim)
         self.size = 0
         self.cursor = 0
 
@@ -349,8 +366,8 @@ def train_step(
     if len(buffer) < hp.batch_size:
         return None
     states, actions, rewards, next_states = buffer.sample(hp.batch_size, rng)
-    targets = double_q_targets(rewards, next_states, net, target_net, hp.discount)
-    loss, grads = td_loss_and_grads(net, states, actions, targets, hp.td_clip)
+    targets, online_pass = double_q_targets(rewards, states, next_states, net, target_net, hp.discount)
+    loss, grads = td_loss_and_grads(net, online_pass, actions, targets, hp.td_clip)
     optimizer.step(grads)
     return loss
 

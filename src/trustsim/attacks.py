@@ -87,12 +87,18 @@ class AttackConfig:
             "nma_p_attack",
             "cra_intensity",
             "cra_target_fraction",
+            "aaa_eps_start",
+            "aaa_eps_decay",
+            "bfi_low_trust",
+            "bfi_high_trust",
             "tdp_intensity",
             "tdp_target_ratio",
         ):
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
+        if self.bfi_low_trust > self.bfi_high_trust:
+            raise ValueError(f"bfi_low_trust {self.bfi_low_trust} exceeds bfi_high_trust {self.bfi_high_trust}")
         for name in ("nma_noise", "aaa_factor", "bfi_sybil_k", "bfi_endorsement_base", "bfi_strike_magnitude"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")

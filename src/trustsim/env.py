@@ -237,8 +237,9 @@ class EnvConfig:
     def __post_init__(self):
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
-        if not (0.0 <= self.detect_p <= 1.0):
-            raise ValueError(f"detect_p must lie in [0, 1], got {self.detect_p}")
+        for name in ("theta", "detect_p"):
+            if not (0.0 <= getattr(self, name) <= 1.0):
+                raise ValueError(f"{name} must lie in [0, 1], got {getattr(self, name)}")
 
 
 class SimulationError(RuntimeError):

@@ -203,9 +203,31 @@ def test_mask_matches_per_byte_loop(backend, length):
     rng = np.random.default_rng(length)
     for _ in range(20):
         nonce, data = rng.bytes(16), rng.bytes(length)
-        masked = backend._mask(nonce, data)
+        [masked] = backend._mask([nonce], [data])
         assert masked == per_byte_mask(backend._key, nonce, data)
-        assert backend._mask(nonce, masked) == data
+        assert backend._mask([nonce], [masked]) == [data]
+
+
+def per_message_mask(key: bytes, nonce: bytes, data: bytes) -> bytes:
+    """Reference for one message: its keystream joined per 64-byte block, then one XOR as integers."""
+    size = len(data)
+    stream = b"".join(
+        hashlib.blake2b(key + nonce + block.to_bytes(4, "little"), digest_size=64).digest()
+        for block in range(-(-size // 64))
+    )
+    return (int.from_bytes(data, "little") ^ int.from_bytes(stream[:size], "little")).to_bytes(size, "little")
+
+
+def test_mask_of_a_batch_matches_per_message_masks(backend):
+    rng = np.random.default_rng(0)
+    for _ in range(20):
+        lengths = rng.permutation([0, 1, 58, 63, 64, 65, 200] * 2).tolist()
+        nonces = [rng.bytes(16) for _ in lengths]
+        messages = [rng.bytes(n) for n in lengths]
+        masked = backend._mask(nonces, messages)
+        assert masked == [per_message_mask(backend._key, n, m) for n, m in zip(nonces, messages)]
+        assert backend._mask(nonces, masked) == messages
+    assert backend._mask([], []) == []
 
 
 def per_node_accepted(gate: PolicyGate, backend: SimulatedFheBackend, trusts) -> np.ndarray:

@@ -130,7 +130,7 @@ def test_acceptance_4_dueling_double_q():
         worst_center = max(worst_center, float(np.max(np.abs(q.mean(axis=1) - v))))
 
         rewards = rng.normal(size=100)
-        targets = double_q_targets(rewards, states, online, target, 0.99)
+        targets, _ = double_q_targets(rewards, states, states, online, target, 0.99)
         bound = rewards + 0.99 * target.forward(states).max(axis=1)
         bound_holds = bound_holds and bool(np.all(targets <= bound + 1e-12))
     assert worst_center < 1e-9

@@ -131,8 +131,8 @@ def test_epsilon_greedy_validates_eps():
 # --- dueling network ---------------------------------------------------------
 
 
-def tiny_net(seed=0):
-    return DuelingNetwork(input_dim=16, hidden_sizes=(4,), head_hidden=2, n_actions=3,
+def tiny_net(seed=0, hidden=(4,)):
+    return DuelingNetwork(input_dim=16, hidden_sizes=hidden, head_hidden=2, n_actions=3,
                           rng=np.random.default_rng(seed))
 
 
@@ -193,9 +193,12 @@ def test_double_q_worked_example():
         def forward(self, x):
             return np.tile(self.row, (len(x), 1))
 
+        def forward_cached(self, x):
+            return self.forward(x), None
+
     online = Stub([0.1, 0.9, 0.5])
     target = Stub([0.2, 0.4, 0.6])
-    out = double_q_targets(np.array([1.0]), np.zeros((1, 16)), online, target, 0.99)
+    out, _ = double_q_targets(np.array([1.0]), np.zeros((1, 16)), np.zeros((1, 16)), online, target, 0.99)
     assert out[0] == pytest.approx(1.0 + 0.99 * 0.4)
 
 
@@ -206,7 +209,7 @@ def test_double_q_never_exceeds_max_target_bound(seed):
     online, target = tiny_net(seed), tiny_net(seed + 1)
     s = rng.normal(size=(4, 16))
     r = rng.normal(size=4)
-    targets = double_q_targets(r, s, online, target, 0.99)
+    targets, _ = double_q_targets(r, s, s, online, target, 0.99)
     bound = r + 0.99 * target.forward(s).max(axis=1)
     assert np.all(targets <= bound + 1e-12)
 
@@ -214,7 +217,7 @@ def test_double_q_never_exceeds_max_target_bound(seed):
 def test_double_q_coincident_argmax_matches_single_network():
     net = tiny_net(3)
     s = np.random.default_rng(0).normal(size=(1, 16))
-    via_double = double_q_targets(np.array([1.0]), s, net, net, 0.99)
+    via_double, _ = double_q_targets(np.array([1.0]), s, s, net, net, 0.99)
     single = 1.0 + 0.99 * net.forward(s).max()
     assert via_double[0] == pytest.approx(single)
 
@@ -228,7 +231,7 @@ def finite_difference_check(net, states, actions, targets, h=1e-5):
     The loss is piecewise smooth; the caller must keep pre-activations away
     from the ReLU kinks or the difference quotient measures a subgradient.
     """
-    _, grads = td_loss_and_grads(net, states, actions, targets, td_clip=np.inf)
+    _, grads = td_loss_and_grads(net, net.forward_cached(states), actions, targets, td_clip=np.inf)
     rows = np.arange(len(actions))
 
     def loss_at():
@@ -250,10 +253,10 @@ def finite_difference_check(net, states, actions, targets, h=1e-5):
     return worst
 
 
-def kink_free_fixture(seed=7, batch=5):
+def kink_free_fixture(seed=7, batch=5, hidden=(4,)):
     """Tiny net and batch whose pre-activations all sit clear of the kinks."""
     rng = np.random.default_rng(seed)
-    net = tiny_net(seed)
+    net = tiny_net(seed, hidden)
     for p in layout_views(net.flat, net.layout):
         if p.ndim == 1:  # nonzero biases keep dead inputs off the exact kink
             p[...] = rng.normal(0.0, 0.3, size=p.shape)
@@ -277,6 +280,12 @@ def kink_free_fixture(seed=7, batch=5):
 
 def test_gradient_check_against_central_finite_differences():
     net, states, actions, targets = kink_free_fixture()
+    assert finite_difference_check(net, states, actions, targets) < 1e-4
+
+
+def test_gradient_check_with_equal_width_trunk_layers():
+    # each trunk layer keeps its own activations, also when two share a width
+    net, states, actions, targets = kink_free_fixture(hidden=(4, 4))
     assert finite_difference_check(net, states, actions, targets) < 1e-4
 
 
@@ -495,9 +504,9 @@ def test_marl_pooled_batch_quota():
     hp = AgentHyperparams(batch_size=64)
     pool = MarlPool(hp, np.random.default_rng(0), n_agents=16)
     rng = np.random.default_rng(1)
-    for buf in pool.buffers:
+    for agent in range(16):
         for _ in range(4):
-            buf.push(rng.normal(size=16), 0, 0.0, rng.normal(size=16))
+            pool.push([agent], rng.normal(size=16), 0, 0.0, rng.normal(size=16))
     batch = pool.pooled_batch()
     assert batch is not None
     assert len(batch[0]) == 64  # 4 from each of 16 buffers
@@ -507,6 +516,129 @@ def test_marl_noop_until_buffers_fill():
     pool = MarlPool(HP, np.random.default_rng(0), n_agents=16)
     assert pool.pooled_batch() is None
     assert pool.train_once() is None
+
+
+def reference_pooled_batch(buffers, batch_size, rng):
+    """The per-agent loop the replay block replaced: equal draws from each
+    nonempty buffer, topped up round-robin, concatenated column by column."""
+    nonempty = [b for b in buffers if len(b) > 0]
+    if not nonempty:
+        return None
+    m = len(nonempty)
+    quotas = [batch_size // m] * m
+    for i in range(batch_size % m):
+        quotas[i] += 1
+    if any(q > len(b) for q, b in zip(quotas, nonempty)):
+        return None
+    parts = [b.sample(q, rng) for b, q in zip(nonempty, quotas) if q > 0]
+    return tuple(np.concatenate(column) for column in zip(*parts))
+
+
+@pytest.mark.parametrize("n_agents, batch_size", [(1, 8), (3, 8), (5, 12), (16, 70), (16, 5)])
+def test_marl_replay_block_matches_per_agent_buffers(n_agents, batch_size):
+    hp = AgentHyperparams(batch_size=batch_size, buffer_capacity=max(batch_size, 10))
+    pool = MarlPool(hp, np.random.default_rng(0), n_agents=n_agents)
+    pool.train_once = lambda: None  # compare the batches alone
+    buffers = [ReplayBuffer(hp.buffer_capacity, 16) for _ in range(n_agents)]
+    ref_rng = np.random.default_rng()
+    ref_rng.bit_generator.state = pool.train_rng.bit_generator.state
+    rng = np.random.default_rng(n_agents)
+    for step in range(3 * hp.buffer_capacity):  # every ring wraps
+        state, next_state = rng.normal(size=16), rng.normal(size=16)
+        action, reward = int(rng.integers(3)), float(rng.normal())
+        # mostly a few agents per step, so buffers fill unevenly; now and then no vote (all record)
+        votes = None if step % 7 == 3 else rng.integers(3, size=n_agents).tolist()
+        pool._last_votes = votes
+        pool.observe(state, action, reward, next_state)
+        for i, buf in enumerate(buffers):
+            if votes is None or votes[i] == action:
+                buf.push(state, action, reward * hp.reward_scale, next_state)
+        assert pool.sizes == [len(b) for b in buffers]
+        batch, expected = pool.pooled_batch(), reference_pooled_batch(buffers, batch_size, ref_rng)
+        assert (batch is None) == (expected is None)
+        for got, want in zip(batch or (), expected or ()):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert pool.train_rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.3, 1.0])
+def test_marl_vote_matches_per_voter_epsilon_greedy(eps):
+    pool = MarlPool(HP, np.random.default_rng(0), n_agents=16)
+    reference = MarlPool(HP, np.random.default_rng(0), n_agents=16)
+    pool.eps = eps
+    rng = np.random.default_rng(1)
+    for _ in range(50):
+        s = rng.normal(size=16)
+        qvalues = reference.acting.forward(s)
+        assert pool.vote(s) == [epsilon_greedy(qvalues, eps, r) for r in reference.agent_rngs]
+        for mine, theirs in zip(pool.agent_rngs, reference.agent_rngs):
+            assert mine.bit_generator.state == theirs.bit_generator.state
+    pool.eps = 1.5
+    with pytest.raises(ValueError):
+        pool.vote(s)
+
+
+def unstacked_update(net, target, optimizer, batch, hp):
+    """One update as separate passes: the online net over the next states, then over the states."""
+    states, actions, rewards, next_states = batch
+    a_star = np.argmax(net.forward(next_states), axis=1)
+    targets = rewards + hp.discount * target.forward(next_states)[np.arange(len(a_star)), a_star]
+    q, cache = net.forward_cached(states)
+    rows = np.arange(len(actions))
+    delta = q[rows, actions] - targets
+    clipped = np.clip(delta, -hp.td_clip, hp.td_clip)
+    inside = (np.abs(delta) <= hp.td_clip).astype(float)
+    dq = np.zeros_like(q)
+    dq[rows, actions] = 2.0 * clipped * inside / len(actions)
+    optimizer.step(net.backward(cache, dq))
+
+
+def test_stacked_dqn_updates_match_unstacked_sequence():
+    hp = AgentHyperparams(batch_size=64, target_sync_every=10)
+    agent, reference = DqnAgent(hp, np.random.default_rng(5), 50), DqnAgent(hp, np.random.default_rng(5), 50)
+    rng = np.random.default_rng(6)
+    for step in range(hp.batch_size + 29):  # 30 updates
+        transition = (rng.normal(size=16), int(rng.integers(3)), float(rng.normal()), rng.normal(size=16))
+        agent.observe(*transition)
+        s, a, r, s_next = transition
+        reference.buffer.push(s, a, r * hp.reward_scale, s_next)
+        if len(reference.buffer) >= hp.batch_size:
+            batch = reference.buffer.sample(hp.batch_size, reference.rng)
+            unstacked_update(reference.online, reference.target, reference.optimizer, batch, hp)
+        if (step + 1) % hp.target_sync_every == 0:
+            reference.target.copy_from(reference.online)
+        assert agent.online.flat.tobytes() == reference.online.flat.tobytes()
+    assert agent.optimizer.t == 30
+
+
+def test_stacked_marl_updates_match_unstacked_sequence():
+    pool, reference = MarlPool(HP, np.random.default_rng(5), n_agents=16), MarlPool(HP, np.random.default_rng(5), n_agents=16)
+
+    def reference_train_once():
+        batch = reference.pooled_batch()
+        if batch is not None:
+            unstacked_update(reference.online, reference.target, reference.optimizer, batch, HP)
+
+    reference.train_once = reference_train_once
+    rng = np.random.default_rng(6)
+    while pool.optimizer.t < 30:
+        s, r, s_next = rng.normal(size=16), float(rng.normal()), rng.normal(size=16)
+        pool.observe(s, pool.act(s), r, s_next)
+        reference.observe(s, reference.act(s), r, s_next)
+        assert pool.online.flat.tobytes() == reference.online.flat.tobytes()
+    assert reference.optimizer.t == 30
+
+
+def test_forward_returns_a_fresh_q_array():
+    net = DuelingNetwork(rng=np.random.default_rng(1))
+    rng = np.random.default_rng(2)
+    batch, row = rng.normal(size=(64, 16)), rng.normal(size=16)
+    q_batch, q_row = net.forward(batch), net.forward(row)
+    kept_batch, kept_row = q_batch.copy(), q_row.copy()
+    q_cached, _ = net.forward_cached(rng.normal(size=(64, 16)))
+    net.forward(rng.normal(size=16))
+    assert np.array_equal(q_batch, kept_batch) and np.array_equal(q_row, kept_row)
+    assert not np.shares_memory(q_batch, q_cached)
 
 
 # --- checkpoints ----------------------------------------------------------------

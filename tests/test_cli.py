@@ -285,6 +285,13 @@ def test_cli_rejects_bad_agent(capsys):
         ["--set", "env.batch_size=0"],
         ["--set", "env.detect_p=2"],
         ["--set", "reward.kappa_max=0"],
+        ["--set", "env.theta=2"],
+        ["--set", "attack.bfi_low_trust=0.9"],
+        ["--set", "attack.aaa_eps_decay=2"],
+        ["--set", "agent_hyperparams.hidden_sizes=0"],
+        ["--set", "agent_hyperparams.head_hidden=0"],
+        ["--set", "agent_hyperparams.learning_rate=0"],
+        ["--set", "agent_hyperparams.tabular_learning_rate=-0.1"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -314,6 +321,13 @@ def test_cli_rejects_bad_agent(capsys):
         "zero-env-batch",
         "detect-p-above-one",
         "zero-kappa-max",
+        "theta-above-one",
+        "bfi-low-above-high",
+        "aaa-eps-decay-above-one",
+        "zero-hidden-size",
+        "zero-head-hidden",
+        "zero-learning-rate",
+        "negative-tabular-learning-rate",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
