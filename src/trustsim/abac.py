@@ -1,11 +1,12 @@
 """Attribute-based access control evaluated through an opaque encrypted backend.
 
 Decisions follow the pipeline encrypt(attributes) -> evaluate(policy) ->
-decrypt(decision).  The default backend simulates encryption: payloads are
-blinded with a keyed stream so repeated encryptions of the same attributes
-differ, and evaluation happens on an internal plaintext engine.  The
-plaintext evaluator is kept public as the parity oracle; every policy and
-attribute set must produce the same decision on both paths.
+decrypt(decision), batched over all nodes of a step.  The default backend
+simulates encryption: payloads are blinded with a keyed stream so repeated
+encryptions of the same attributes differ, and evaluation runs the policy
+compiled to a vectorised predicate.  The tree-walking evaluator
+``eval_policy_plain`` is kept public as the parity oracle; every policy
+and attribute set must produce the same decision on both paths.
 
 Policy files use a small expression grammar, e.g.::
 
@@ -31,11 +32,7 @@ class AbacError(Exception):
     pass
 
 
-# role codes used by the simulator
-ROLE_DEVICE = 0
-ROLE_SENSOR = 1
-ROLE_VALIDATOR = 2
-ROLE_DELEGATE = 3
+GATE_MODES = ("plain", "encrypted")
 
 DEFAULT_SCHEMA = {
     "trust": (0, 100),
@@ -46,30 +43,9 @@ DEFAULT_SCHEMA = {
 
 DEFAULT_POLICY_TEXT = "(trust >= 45) & ((role == 2) | (role == 3))"
 
-# the attributes every simulated node presents to the gate, in matrix
-# column order; trust (column 0) is the per-node column, filled in at decision time
-NODE_ATTRIBUTES = {"trust": 0, "role": ROLE_VALIDATOR, "clearance": 3, "permissions": 7}
-
-
-@dataclass(frozen=True)
-class AttributeSet:
-    """Named integer-encoded attributes; names must be unique (dict enforces)."""
-
-    values: dict
-
-    def __post_init__(self):
-        for name, v in self.values.items():
-            if not isinstance(v, int) or isinstance(v, bool):
-                raise AbacError(f"attribute {name!r} must be an int, got {v!r}")
-
-
-def quantize_trust(tau: float) -> int:
-    """Map a trust score in (0,1) to the integer [0,100] policy domain.
-
-    Uses floor so that tau < 0.45 maps below 45 exactly, matching the
-    strict-inequality classification boundary.
-    """
-    return max(0, min(100, int(np.floor(tau * 100.0))))
+# the attributes every simulated node presents to the gate, in matrix column order: role 2 is
+# validator; trust (column 0) is the per-node column, filled in at decision time
+NODE_ATTRIBUTES = {"trust": 0, "role": 2, "clearance": 3, "permissions": 7}
 
 
 # --- policy expression tree -------------------------------------------------
@@ -108,12 +84,12 @@ class Or:
 Policy = Leaf | And | Or
 
 
-def eval_policy_plain(policy: Policy, attrs: AttributeSet) -> bool:
-    """Standard boolean evaluation of the expression tree (parity oracle)."""
+def eval_policy_plain(policy: Policy, attrs: dict) -> bool:
+    """Standard boolean evaluation of the expression tree over ``{name: int}`` (parity oracle)."""
     if isinstance(policy, Leaf):
-        if policy.attribute not in attrs.values:
+        if policy.attribute not in attrs:
             raise AbacError(f"policy references unknown attribute {policy.attribute!r}")
-        return _OPS[policy.op](attrs.values[policy.attribute], policy.constant)
+        return _OPS[policy.op](attrs[policy.attribute], policy.constant)
     if isinstance(policy, And):
         return all(eval_policy_plain(c, attrs) for c in policy.children)
     if isinstance(policy, Or):
@@ -139,15 +115,6 @@ def compile_policy(policy: Policy, columns: tuple):
         parts = [compile_policy(c, columns) for c in policy.children]
         return lambda matrix: functools.reduce(combine, (part(matrix) for part in parts))
     raise TypeError(f"not a policy node: {policy!r}")
-
-
-def policy_attributes(policy: Policy) -> set[str]:
-    if isinstance(policy, Leaf):
-        return {policy.attribute}
-    out: set[str] = set()
-    for c in policy.children:
-        out |= policy_attributes(c)
-    return out
 
 
 # --- policy text parser -----------------------------------------------------
@@ -245,7 +212,7 @@ def load_policy(path) -> Policy:
 
 NONCE_BYTES = 16
 _INT_MIN, _INT_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-# the sealed form of each decision, as ``_seal({"decision": d})`` encodes it
+# the plaintext each decision is sealed as
 _DECISION_JSON = {d: json.dumps({"decision": int(d)}).encode("utf-8") for d in (False, True)}
 
 
@@ -260,13 +227,12 @@ class SimulatedFheBackend:
 
     Payloads are the JSON encoding of the attributes XOR-masked with a
     keystream derived from a per-instance secret key and a fresh nonce, so
-    identical plaintexts never share a payload.  Evaluation decrypts
-    internally, runs the plaintext engine, and re-encrypts the decision;
-    ``eval_rows`` does the same for many ciphertexts at once with a
-    compiled policy.  Sealing and opening take lists: a batch is masked with
-    one XOR over its concatenated messages, and each distinct plaintext is
-    parsed once per backend (a simulation presents at most 101 attribute
-    plaintexts and 2 decisions).
+    identical plaintexts never share a payload.  ``eval_rows`` opens many
+    attribute ciphertexts, decides them all with one call of a compiled
+    policy and seals each decision.  Sealing and opening take lists: a
+    batch is masked with one XOR over its concatenated messages, and each
+    distinct plaintext is parsed once per backend (a simulation presents at
+    most 101 attribute plaintexts and 2 decisions).
     This reproduces the pipeline semantics only; it offers no cryptographic
     strength and says so in its tag.
     """
@@ -306,9 +272,6 @@ class SimulatedFheBackend:
         """Plaintext i sealed under ``nonces[i]``."""
         return [Ciphertext(self.tag, nonce + body) for nonce, body in zip(nonces, self._mask(nonces, plains))]
 
-    def _seal(self, obj) -> Ciphertext:
-        return self.seal([self._rng.bytes(NONCE_BYTES)], [json.dumps(obj, sort_keys=True).encode("utf-8")])[0]
-
     def _open(self, cts: list) -> list:
         """The plaintext object of each ciphertext, shared with every other opening of the same bytes."""
         for ct in cts:
@@ -320,10 +283,10 @@ class SimulatedFheBackend:
         return [self._parsed[plain] for plain in plains]
 
     def check_rows(self, columns: tuple, matrix: np.ndarray) -> None:
-        """The schema check of ``encrypt_attributes`` over a whole attribute matrix.
+        """Refuse an attribute matrix with a value outside the schema's declared range.
 
-        Raises on the first out-of-range value in row-major order, which is
-        the first one a per-row ``encrypt_attributes`` loop would meet.
+        Raises on the first out-of-range value in row-major order, before
+        any row is sealed; columns the schema does not name are unbounded.
         """
         bounds = np.array([self.schema.get(name, (_INT_MIN, _INT_MAX)) for name in columns], dtype=np.int64)
         outside = (matrix < bounds[:, 0]) | (matrix > bounds[:, 1])
@@ -332,29 +295,6 @@ class SimulatedFheBackend:
             raise AbacError(
                 f"attribute {columns[j]!r}={matrix[i, j]} outside declared range [{bounds[j, 0]}, {bounds[j, 1]}]"
             )
-
-    def encrypt_attributes(self, attrs: AttributeSet) -> Ciphertext:
-        if not attrs.values:
-            raise AbacError("cannot encrypt an empty attribute set")
-        for name, v in attrs.values.items():
-            bounds = self.schema.get(name)
-            if bounds is not None and not (bounds[0] <= v <= bounds[1]):
-                raise AbacError(
-                    f"attribute {name!r}={v} outside declared range [{bounds[0]}, {bounds[1]}]"
-                )
-        return self._seal(attrs.values)
-
-    def decrypt_attributes(self, ct: Ciphertext) -> AttributeSet:
-        """Backend-internal test hook for the round-trip contract."""
-        return AttributeSet(dict(self._open([ct])[0]))
-
-    def eval_policy(self, policy: Policy, ct: Ciphertext) -> Ciphertext:
-        attrs = AttributeSet(self._open([ct])[0])
-        missing = policy_attributes(policy) - set(attrs.values)
-        if missing:
-            raise AbacError(f"policy references attributes absent from ciphertext: {sorted(missing)}")
-        decision = eval_policy_plain(policy, attrs)
-        return self._seal({"decision": int(decision)})
 
     def eval_rows(self, predicate, columns: tuple, cts: list, nonces: list) -> list[Ciphertext]:
         """Open every attribute ciphertext, decide all rows with one call of the
@@ -375,9 +315,6 @@ class SimulatedFheBackend:
             raise AbacError("ciphertext does not hold a decision")
         return [bool(obj["decision"]) for obj in objs]
 
-    def decrypt_decision(self, ct: Ciphertext) -> bool:
-        return self.decrypt_decisions([ct])[0]
-
 
 # --- the gate used by the simulation ----------------------------------------
 
@@ -386,22 +323,25 @@ class PolicyGate:
     """Per-node access decision used before delegate selection.
 
     Every node presents the attributes in ``NODE_ATTRIBUTES``: its trust
-    quantized to [0, 100] and the constant validator attributes.  Both
-    modes build one integer attribute matrix per step (one row per node)
-    and decide it with the policy compiled once.  ``mode="plain"`` runs
-    the predicate on the matrix directly; ``mode="encrypted"`` seals each
-    node's row in its own ciphertext under its own nonce, and the backend
-    opens them all, decides every row in one pass and seals each decision
-    for the gate to open; each of the three stages is one batched call.
-    The two modes are parity-tested and produce identical decisions; plain
-    is the default because it skips the sealing and opening, which cost
-    over ten times the decision itself.
+    floored to an integer in [0, 100] and the constant validator
+    attributes.  Both modes build one integer attribute matrix per step
+    (one row per node) and decide it with the policy compiled once.
+    ``mode="plain"`` runs the predicate on the matrix directly;
+    ``mode="encrypted"`` seals each node's row in its own ciphertext under
+    its own nonce, and the backend opens them all, decides every row in
+    one pass and seals each decision for the gate to open; each of the
+    three stages is one batched call.  Node i's attributes are sealed
+    under nonce 2i and its decision under nonce 2i + 1, the order a
+    node-by-node seal, open, decide, seal loop draws them in; the tests
+    hold the batch to such a loop.  The two modes are parity-tested and
+    produce identical decisions; plain is the default because it skips the
+    sealing and opening, which cost over ten times the decision itself.
     """
 
     def __init__(self, policy: Policy | None = None, mode: str = "plain", backend=None):
         self.policy = policy if policy is not None else parse_policy(DEFAULT_POLICY_TEXT)
-        if mode not in ("plain", "encrypted"):
-            raise AbacError(f"gate mode must be plain|encrypted, got {mode!r}")
+        if mode not in GATE_MODES:
+            raise AbacError(f"gate mode must be one of {GATE_MODES}, got {mode!r}")
         self.mode = mode
         self.backend = backend if backend is not None else SimulatedFheBackend()
         self._columns = tuple(NODE_ATTRIBUTES)
@@ -411,16 +351,6 @@ class PolicyGate:
         self._matrix = np.tile(self._row, (0, 1))
         # quantized trust -> the JSON a node with that trust presents (at most 101 entries)
         self._encoded: dict[int, bytes] = {}
-
-    def decide(self, attrs: AttributeSet) -> bool:
-        if self.mode == "plain":
-            row = [attrs.values[name] for name in NODE_ATTRIBUTES]
-            return bool(self._predicate(np.array([row]))[0])
-        ct = self.backend.encrypt_attributes(attrs)
-        return self.backend.decrypt_decision(self.backend.eval_policy(self.policy, ct))
-
-    def node_attributes(self, tau: float, role_code: int = ROLE_VALIDATOR) -> AttributeSet:
-        return AttributeSet({**NODE_ATTRIBUTES, "trust": quantize_trust(tau), "role": role_code})
 
     def _encode(self, trust: int) -> bytes:
         encoded = self._encoded.get(trust)
@@ -440,8 +370,7 @@ class PolicyGate:
             return self._predicate(matrix).nonzero()[0]
         backend = self.backend
         backend.check_rows(self._columns, matrix)
-        # node i seals its attributes under nonce 2i and its decision under
-        # nonce 2i + 1, the order of a per-node encrypt/eval/decrypt loop
+        # node i seals its attributes under nonce 2i and its decision under nonce 2i + 1
         nonces = backend.draw_nonces(2 * len(matrix))
         cts = backend.seal(nonces[0::2], [self._encode(q) for q in matrix[:, 0].tolist()])
         decisions = backend.eval_rows(self._predicate, self._columns, cts, nonces[1::2])

@@ -1,28 +1,11 @@
 """Defense agents: tabular Q-learning, Dueling Double DQN, and a
 parameter-sharing multi-agent pool."""
 
-from .checkpoint import load_agent, load_checkpoint, save_agent, save_checkpoint
+from .checkpoint import load_agent, save_agent
 from .dqn import DqnAgent
-from .marl import MarlPool, majority_vote
-from .nn import (
-    Adam,
-    AgentHyperparams,
-    DuelingNetwork,
-    ReplayBuffer,
-    double_q_targets,
-    epsilon_greedy,
-    td_loss_and_grads,
-    train_step,
-)
-from .tabular import (
-    DiscretizationSpec,
-    QTable,
-    TabularAgent,
-    default_spec,
-    discretize,
-    discretize_value,
-    tabular_update,
-)
+from .marl import MarlPool
+from .nn import AgentHyperparams
+from .tabular import TabularAgent
 
 AGENT_KINDS = ("rl", "drl", "marl")
 

@@ -5,18 +5,11 @@ from __future__ import annotations
 import numpy as np
 
 from ..env import N_ACTIONS, STATE_DIM
-from .nn import (
-    Adam,
-    AgentHyperparams,
-    DuelingNetwork,
-    ReplayBuffer,
-    epsilon_greedy,
-    train_step,
-)
+from .nn import Adam, AgentHyperparams, DuelingNetwork, Replay, epsilon_greedy, learn
 
 
 class DqnAgent:
-    """Single learning agent: replay, double-Q targets, periodic target sync."""
+    """Single learning agent: a one-ring replay, double-Q targets, periodic target sync."""
 
     def __init__(
         self,
@@ -31,7 +24,7 @@ class DqnAgent:
         self.online = DuelingNetwork(state_dim, hp.hidden_sizes, hp.head_hidden, n_actions, rng)
         self.target = self.online.clone()
         self.optimizer = Adam(self.online.flat, lr=hp.learning_rate)
-        self.buffer = ReplayBuffer(hp.buffer_capacity, state_dim)
+        self.replay = Replay(1, hp.buffer_capacity, state_dim)
         self.eps = hp.eps_start
         self._decay = hp.episode_eps_decay(episodes_total)
         self.total_steps = 0
@@ -40,9 +33,9 @@ class DqnAgent:
         return epsilon_greedy(self.online.forward(state), self.eps, self.rng)
 
     def observe(self, state, action, reward, next_state) -> None:
-        self.buffer.push(state, action, reward * self.hp.reward_scale, next_state)
+        self.replay.push((0,), state, action, reward * self.hp.reward_scale, next_state)
         self.total_steps += 1
-        train_step(self.online, self.target, self.buffer, self.optimizer, self.hp, self.rng)
+        learn(self.online, self.target, self.optimizer, self.replay.sample(self.hp.batch_size, self.rng), self.hp)
         if self.total_steps % self.hp.target_sync_every == 0:
             self.target.copy_from(self.online)
 

@@ -5,10 +5,9 @@ buffers, and vote on the global action.  Each agent applies epsilon-greedy
 over the shared Q-values with its own random stream; the executed action
 is the majority vote, with ties resolving to Maintain.
 
-The buffers are one replay block: agent i owns rows
-``[i * capacity, (i + 1) * capacity)`` and keeps its own size and cursor,
-so a step writes every recording agent's row, and a pooled batch gathers
-every agent's draws, with one indexing per column.
+The buffers are one ``Replay`` with a ring per agent, and a pooled batch
+is its quota draw on ``train_rng``.  The update is ``learn``, the same
+double-Q step the single DQN agent takes.
 
 Training is asynchronous, acting is synchronized: gradient work happens
 continuously on the shared store (one pooled-batch step per environment
@@ -26,7 +25,9 @@ from __future__ import annotations
 import numpy as np
 
 from ..env import Action, N_ACTIONS, STATE_DIM
-from .nn import Adam, AgentHyperparams, DuelingNetwork, double_q_targets, replay_columns, td_loss_and_grads
+from .nn import Adam, AgentHyperparams, DuelingNetwork, Replay, learn
+# the benchmark's span table resolves these two names in this module
+from .nn import double_q_targets, td_loss_and_grads  # noqa: F401
 
 
 def majority_vote(votes) -> int:
@@ -56,9 +57,7 @@ class MarlPool:
         self.acting = self.online.clone()
         self.target = self.online.clone()
         self.optimizer = Adam(self.online.flat, lr=hp.learning_rate)
-        block = replay_columns(n_agents * hp.buffer_capacity, state_dim)
-        self.states, self.next_states, self.rewards, self.actions = block
-        self.sizes, self.cursors = [0] * n_agents, [0] * n_agents
+        self.replay = Replay(n_agents, hp.buffer_capacity, state_dim)
         streams = rng.spawn(n_agents + 1)
         self.agent_rngs = streams[:n_agents]
         self.train_rng = streams[n_agents]
@@ -84,7 +83,7 @@ class MarlPool:
     def observe(self, state, action, reward, next_state) -> None:
         votes = self._last_votes
         agents = range(self.n_agents) if votes is None else [i for i, v in enumerate(votes) if v == action]
-        self.push(agents, state, action, reward * self.hp.reward_scale, next_state)
+        self.replay.push(agents, state, action, reward * self.hp.reward_scale, next_state)
         self._last_votes = None
         self.total_steps += 1
         self.train_once()
@@ -93,51 +92,12 @@ class MarlPool:
         if self.total_steps % self.hp.target_sync_every == 0:
             self.target.copy_from(self.online)
 
-    def push(self, agents, state, action: int, reward: float, next_state) -> None:
-        """Write one transition into the next ring row of each agent in ``agents``."""
-        cap = self.hp.buffer_capacity
-        rows = np.array([i * cap + self.cursors[i] for i in agents], dtype=np.int64)
-        self.states[rows] = state
-        self.actions[rows] = action
-        self.rewards[rows] = reward
-        self.next_states[rows] = next_state
-        for i in agents:
-            self.cursors[i] = (self.cursors[i] + 1) % cap
-            self.sizes[i] = min(self.sizes[i] + 1, cap)
-
     def pooled_batch(self):
-        """Equal draws from each nonempty buffer, topped up round-robin.
-
-        With all 16 buffers holding data and batch 64 this is exactly 4
-        transitions per buffer.  Each buffer draws its rows with its own
-        ``train_rng.choice`` call, in agent order.  Returns None while
-        buffers cannot jointly fill a batch.
-        """
-        sizes = self.sizes
-        nonempty = [i for i, size in enumerate(sizes) if size > 0]
-        if not nonempty:
-            return None
-        m = len(nonempty)
-        quotas = [self.hp.batch_size // m] * m
-        for i in range(self.hp.batch_size % m):
-            quotas[i] += 1
-        if any(q > sizes[i] for q, i in zip(quotas, nonempty)):
-            return None
-        cap = self.hp.buffer_capacity
-        draws = [self.train_rng.choice(sizes[i], q, replace=False) + i * cap for i, q in zip(nonempty, quotas) if q > 0]
-        idx = np.concatenate(draws)
-        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
+        """Equal draws from each nonempty voter ring on ``train_rng``, or None; see ``Replay.sample``."""
+        return self.replay.sample(self.hp.batch_size, self.train_rng)
 
     def train_once(self) -> float | None:
-        batch = self.pooled_batch()
-        if batch is None:
-            return None
-        states, actions, rewards, next_states = batch
-        hp = self.hp
-        targets, online_pass = double_q_targets(rewards, states, next_states, self.online, self.target, hp.discount)
-        loss, grads = td_loss_and_grads(self.online, online_pass, actions, targets, hp.td_clip)
-        self.optimizer.step(grads)
-        return loss
+        return learn(self.online, self.target, self.optimizer, self.pooled_batch(), self.hp)
 
     def end_episode(self) -> None:
         self.eps = max(self.hp.eps_min, self.eps * self._decay)

@@ -317,57 +317,56 @@ def replay_columns(rows: int, state_dim: int):
     return states, next_states, block[2 * n : 2 * n + rows], block[2 * n + rows :].view(np.int64)  # zero bits: int64 0
 
 
-class ReplayBuffer:
-    """Fixed-capacity ring of transitions with uniform no-replacement sampling.
+class Replay:
+    """Fixed-capacity transition rings, one per agent, in one ``replay_columns`` block: agent i owns
+    rows ``[i * capacity, (i + 1) * capacity)`` and keeps its own size and cursor.  A DQN agent has one
+    ring; a MARL pool gives each voter one."""
 
-    Its columns come from ``replay_columns``.
-    """
-
-    def __init__(self, capacity: int, state_dim: int):
+    def __init__(self, agents: int, capacity: int, state_dim: int):
         self.capacity = capacity
-        self.states, self.next_states, self.rewards, self.actions = replay_columns(capacity, state_dim)
-        self.size = 0
-        self.cursor = 0
+        self.states, self.next_states, self.rewards, self.actions = replay_columns(agents * capacity, state_dim)
+        self.sizes, self.cursors = [0] * agents, [0] * agents
 
-    def __len__(self) -> int:
-        return self.size
-
-    def push(self, s, a, r, s_next) -> None:
-        i = self.cursor
-        self.states[i] = s
-        self.actions[i] = a
-        self.rewards[i] = r
-        self.next_states[i] = s_next
-        self.cursor = (self.cursor + 1) % self.capacity
-        self.size = min(self.size + 1, self.capacity)
-
-    def sample_indices(self, batch: int, rng: np.random.Generator) -> np.ndarray:
-        if batch > self.size:
-            raise ValueError(f"cannot sample {batch} from buffer of size {self.size}")
-        return rng.choice(self.size, size=batch, replace=False)
-
-    def gather(self, idx: np.ndarray):
-        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
+    def push(self, agents, state, action: int, reward: float, next_state) -> None:
+        """Write one transition into the next ring row of each agent in ``agents``."""
+        cap = self.capacity
+        rows = np.array([i * cap + self.cursors[i] for i in agents], dtype=np.int64)
+        self.states[rows] = state
+        self.actions[rows] = action
+        self.rewards[rows] = reward
+        self.next_states[rows] = next_state
+        for i in agents:
+            self.cursors[i] = (self.cursors[i] + 1) % cap
+            self.sizes[i] = min(self.sizes[i] + 1, cap)
 
     def sample(self, batch: int, rng: np.random.Generator):
-        return self.gather(self.sample_indices(batch, rng))
+        """``(states, actions, rewards, next_states)``: equal draws from each nonempty ring, topped up
+        round-robin, or None while the rings cannot fill their quotas.  Each ring draws by its own
+        ``rng.choice`` call, in agent order; one ring draws ``rng.choice(size, batch, replace=False)``.
+        """
+        sizes = self.sizes
+        nonempty = [i for i, size in enumerate(sizes) if size > 0]
+        if not nonempty:
+            return None
+        m = len(nonempty)
+        quotas = [batch // m] * m
+        for i in range(batch % m):
+            quotas[i] += 1
+        if any(q > sizes[i] for q, i in zip(quotas, nonempty)):
+            return None
+        draws = [rng.choice(sizes[i], q, replace=False) + i * self.capacity for i, q in zip(nonempty, quotas) if q > 0]
+        idx = np.concatenate(draws)
+        return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
 
 
-def train_step(
-    net: DuelingNetwork,
-    target_net: DuelingNetwork,
-    buffer: ReplayBuffer,
-    optimizer: Adam,
-    hp: AgentHyperparams,
-    rng: np.random.Generator,
-) -> float | None:
-    """One sampled double-Q regression step; returns the loss, or None when
-    the buffer cannot yet fill a batch (reported as a skip)."""
-    if len(buffer) < hp.batch_size:
+def learn(online: DuelingNetwork, target: DuelingNetwork, optimizer: Adam, batch, hp: AgentHyperparams) -> float | None:
+    """One double-Q regression step on ``batch`` (a ``Replay.sample``); returns the loss, or None
+    when there is no batch yet (reported as a skip)."""
+    if batch is None:
         return None
-    states, actions, rewards, next_states = buffer.sample(hp.batch_size, rng)
-    targets, online_pass = double_q_targets(rewards, states, next_states, net, target_net, hp.discount)
-    loss, grads = td_loss_and_grads(net, online_pass, actions, targets, hp.td_clip)
+    states, actions, rewards, next_states = batch
+    targets, online_pass = double_q_targets(rewards, states, next_states, online, target, hp.discount)
+    loss, grads = td_loss_and_grads(online, online_pass, actions, targets, hp.td_clip)
     optimizer.step(grads)
     return loss
 

@@ -19,9 +19,9 @@ import argparse
 import sys
 from dataclasses import replace
 
+from .agents import AGENT_KINDS
 from .attacks import FAMILIES
 from .config import (
-    AGENTS,
     ATTACKS,
     MATRIX_SEEDS,
     ConfigError,
@@ -90,7 +90,7 @@ def main(argv=None) -> int:
             updates["out"] = args.out
 
         if args.matrix:
-            agents = _parse_list(args.agent, AGENTS, "agent") if args.agent else list(AGENTS)
+            agents = _parse_list(args.agent, AGENT_KINDS, "agent") if args.agent else list(AGENT_KINDS)
             attacks = _parse_list(args.attack, ATTACKS, "attack") if args.attack else list(FAMILIES)
             seeds = _parse_seeds(args.seeds) if args.seeds else list(MATRIX_SEEDS)
             cfg = replace(cfg, **updates)

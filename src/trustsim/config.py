@@ -11,12 +11,13 @@ import configparser
 import dataclasses
 from dataclasses import dataclass, field, fields, replace
 
+from .abac import GATE_MODES
+from .agents import AGENT_KINDS
 from .agents.nn import AgentHyperparams
 from .attacks import FAMILIES, AttackConfig
 from .env import EnvConfig, RewardConfig
 from .trust import TrustUpdateConfig
 
-AGENTS = ("rl", "drl", "marl")
 ATTACKS = FAMILIES + ("none",)
 
 DEFAULT_EPISODES = 50
@@ -49,12 +50,14 @@ class ExperimentConfig:
     env: EnvConfig = field(default_factory=EnvConfig)
 
     def __post_init__(self):
-        if self.agent not in AGENTS:
-            raise ConfigError(f"agent must be one of {AGENTS}, got {self.agent!r}")
+        if self.agent not in AGENT_KINDS:
+            raise ConfigError(f"agent must be one of {AGENT_KINDS}, got {self.agent!r}")
         if self.attack not in ATTACKS:
             raise ConfigError(f"attack must be one of {ATTACKS}, got {self.attack!r}")
         if self.episodes is not None and self.episodes < 1:
             raise ConfigError("episodes must be >= 1")
+        if self.gate_mode not in GATE_MODES:
+            raise ConfigError(f"gate_mode must be one of {GATE_MODES}, got {self.gate_mode!r}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
         if self.n_nodes < 2:

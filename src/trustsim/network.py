@@ -67,8 +67,6 @@ class NetworkState:
 class RoundOutcome:
     block_created: bool
     verified_tx: int
-    delegates: np.ndarray
-    valid_votes: np.ndarray  # per delegate, in the order of ``delegates``
 
 
 PRIOR_ALPHA = 8.0
@@ -166,7 +164,7 @@ def run_consensus_round(
     if block:
         state.chain_length += 1
         state.verified_tx_total += verified
-    return RoundOutcome(block_created=block, verified_tx=verified, delegates=delegates, valid_votes=valid)
+    return RoundOutcome(block_created=block, verified_tx=verified)
 
 
 def trust_separation(state: NetworkState) -> float:

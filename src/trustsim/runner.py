@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, metrics
-from .abac import PolicyGate, load_policy
+from .abac import AbacError, PolicyGate, load_policy
 from .agents import make_agent, save_agent
 from .attacks import Attack
 from .charts import emit_charts
@@ -37,6 +37,15 @@ def write_csv(path, columns, rows) -> None:
             fh.write(",".join(_format_value(v) for v in row) + "\n")
 
 
+def make_gate(cfg: ExperimentConfig) -> PolicyGate:
+    """The access gate ``cfg`` names.  A policy file that cannot be read or decoded, that does not
+    parse, or that names an attribute the nodes lack, is a ConfigError."""
+    try:
+        return PolicyGate(policy=load_policy(cfg.policy_file) if cfg.policy_file else None, mode=cfg.gate_mode)
+    except (OSError, UnicodeDecodeError, AbacError) as exc:
+        raise ConfigError(f"policy_file: {exc}") from None
+
+
 def build_simulation(cfg: ExperimentConfig):
     """Construct the seeded network, gate, attack, agent, and environment."""
     episodes, warning = cfg.resolve_episodes()
@@ -48,8 +57,7 @@ def build_simulation(cfg: ExperimentConfig):
     net = init_network(cfg.n_nodes, cfg.malicious_ratio, rng_init)
     attack = None if cfg.attack == "none" else Attack(cfg.attack_cfg)
 
-    policy = load_policy(cfg.policy_file) if cfg.policy_file else None
-    gate = PolicyGate(policy=policy, mode=cfg.gate_mode)
+    gate = make_gate(cfg)
 
     agent = make_agent(cfg.agent, cfg.hyper, rng_agent, episodes_total=episodes, n_nodes=cfg.n_nodes)
     evidence_log = [] if cfg.log_evidence else None
@@ -81,6 +89,7 @@ def simulate(cfg: ExperimentConfig):
 def run_experiment(cfg: ExperimentConfig, quiet: bool = True):
     """Execute one configured run and write all artifacts to cfg.out."""
     out = Path(cfg.out)
+    make_gate(cfg)  # a bad policy stops the run before its directory is made
     out.mkdir(parents=True, exist_ok=True)
 
     records, env, agent, warning = simulate(cfg)
@@ -167,6 +176,7 @@ def run_matrix(
             raise ConfigError(f"matrix {what} list repeats an entry: {items}")
     if workers < 1:
         raise ConfigError(f"matrix workers must be >= 1, got {workers}")
+    make_gate(base_cfg)  # every cell shares the policy; a bad one stops the matrix here
 
     out = Path(base_cfg.out)
     if not quiet:

@@ -1,4 +1,5 @@
 import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -9,17 +10,14 @@ from trustsim.abac import (
     DEFAULT_SCHEMA,
     AbacError,
     And,
-    AttributeSet,
     Leaf,
     NODE_ATTRIBUTES,
     Or,
     PolicyGate,
-    ROLE_VALIDATOR,
     SimulatedFheBackend,
     compile_policy,
     eval_policy_plain,
     parse_policy,
-    quantize_trust,
 )
 
 
@@ -28,52 +26,61 @@ def backend():
     return SimulatedFheBackend(seed=7)
 
 
-ATTRS = AttributeSet({"trust": 50, "role": 2, "clearance": 3, "permissions": 7})
+ATTRS = {"trust": 50, "role": 2, "clearance": 3, "permissions": 7}
+
+
+def seal_json(backend, obj) -> list:
+    """``obj`` as sorted-key JSON, sealed under one fresh nonce."""
+    return backend.seal(backend.draw_nonces(1), [json.dumps(obj, sort_keys=True).encode("utf-8")])
+
+
+def encrypted_decision(backend, policy, attrs: dict) -> bool:
+    """``attrs`` sealed, decided by the backend with the compiled policy, and the decision opened."""
+    columns = tuple(attrs)
+    cts = seal_json(backend, attrs)
+    decisions = backend.eval_rows(compile_policy(policy, columns), columns, cts, backend.draw_nonces(1))
+    return backend.decrypt_decisions(decisions)[0]
 
 
 def test_encrypt_decrypt_round_trip(backend):
-    ct = backend.encrypt_attributes(ATTRS)
-    assert backend.decrypt_attributes(ct).values == ATTRS.values
-
-
-def test_encrypt_empty_attrs_rejected(backend):
-    with pytest.raises(AbacError):
-        backend.encrypt_attributes(AttributeSet({}))
+    assert backend._open(seal_json(backend, ATTRS)) == [ATTRS]
 
 
 def test_encrypt_out_of_range_rejected(backend):
     with pytest.raises(AbacError):
-        backend.encrypt_attributes(AttributeSet({"trust": 101}))
+        backend.check_rows(("trust",), np.array([[101]]))
+    backend.check_rows(("trust", "unbounded"), np.array([[100, 10**6]]))
 
 
 def test_blinded_payloads_differ(backend):
-    payloads = {backend.encrypt_attributes(ATTRS).payload for _ in range(8)}
+    payloads = {seal_json(backend, ATTRS)[0].payload for _ in range(8)}
     assert len(payloads) == 8
 
 
 def test_eval_encrypted_accepts(backend):
     policy = parse_policy("(trust >= 45) & (role == 2)")
-    ct = backend.encrypt_attributes(ATTRS)
-    assert backend.decrypt_decision(backend.eval_policy(policy, ct)) is True
+    assert encrypted_decision(backend, policy, ATTRS) is True
 
 
 def test_eval_encrypted_rejects_low_clearance(backend):
     policy = parse_policy("clearance >= 3")
-    ct = backend.encrypt_attributes(AttributeSet({"clearance": 2}))
-    assert backend.decrypt_decision(backend.eval_policy(policy, ct)) is False
+    assert encrypted_decision(backend, policy, {"clearance": 2}) is False
 
 
 def test_eval_unknown_attribute_errors(backend):
     policy = parse_policy("missing >= 1")
-    ct = backend.encrypt_attributes(ATTRS)
     with pytest.raises(AbacError):
-        backend.eval_policy(policy, ct)
+        encrypted_decision(backend, policy, ATTRS)
+    # a ciphertext lacking a column the compiled policy reads is refused too
+    columns = ("missing",)
+    with pytest.raises(AbacError, match="lacks attribute 'missing'"):
+        backend.eval_rows(compile_policy(policy, columns), columns, seal_json(backend, ATTRS), backend.draw_nonces(1))
 
 
 def test_plain_eval_boolean_combinators():
     t = Leaf("x", ">=", 1)
     f = Leaf("x", ">=", 10)
-    attrs = AttributeSet({"x": 5})
+    attrs = {"x": 5}
     assert eval_policy_plain(And((t, t)), attrs) is True
     assert eval_policy_plain(Or((f, t)), attrs) is True
     assert eval_policy_plain(f, attrs) is False
@@ -81,9 +88,9 @@ def test_plain_eval_boolean_combinators():
 
 def test_parser_round_trips_default_policy():
     policy = parse_policy("(trust >= 45) & ((role == 2) | (role == 3))")
-    assert eval_policy_plain(policy, AttributeSet({"trust": 45, "role": 3}))
-    assert not eval_policy_plain(policy, AttributeSet({"trust": 44, "role": 2}))
-    assert not eval_policy_plain(policy, AttributeSet({"trust": 80, "role": 1}))
+    assert eval_policy_plain(policy, {"trust": 45, "role": 3})
+    assert not eval_policy_plain(policy, {"trust": 44, "role": 2})
+    assert not eval_policy_plain(policy, {"trust": 80, "role": 1})
 
 
 @pytest.mark.parametrize(
@@ -97,9 +104,9 @@ def test_parser_rejects_malformed(text):
 
 def test_precedence_and_binds_tighter_than_or():
     policy = parse_policy("a == 1 | b == 1 & c == 1")
-    assert eval_policy_plain(policy, AttributeSet({"a": 1, "b": 0, "c": 0}))
-    assert eval_policy_plain(policy, AttributeSet({"a": 0, "b": 1, "c": 1}))
-    assert not eval_policy_plain(policy, AttributeSet({"a": 0, "b": 1, "c": 0}))
+    assert eval_policy_plain(policy, {"a": 1, "b": 0, "c": 0})
+    assert eval_policy_plain(policy, {"a": 0, "b": 1, "c": 1})
+    assert not eval_policy_plain(policy, {"a": 0, "b": 1, "c": 0})
 
 
 names = st.sampled_from(["trust", "role", "clearance", "permissions"])
@@ -131,23 +138,19 @@ def policies():
 )
 def test_encrypted_path_parity_with_plaintext_oracle(policy, trust, role, clearance, permissions):
     backend = SimulatedFheBackend(seed=3)
-    attrs = AttributeSet(
-        {"trust": trust, "role": role, "clearance": clearance, "permissions": permissions}
-    )
+    attrs = {"trust": trust, "role": role, "clearance": clearance, "permissions": permissions}
     expected = eval_policy_plain(policy, attrs)
-    ct = backend.encrypt_attributes(attrs)
-    decision = backend.decrypt_decision(backend.eval_policy(policy, ct))
+    decision = encrypted_decision(backend, policy, attrs)
     assert decision == expected
-    row = np.array([[attrs.values[name] for name in NODE_ATTRIBUTES]], dtype=np.int64)
+    row = np.array([[attrs[name] for name in NODE_ATTRIBUTES]], dtype=np.int64)
     compiled = compile_policy(policy, tuple(NODE_ATTRIBUTES))(row)
     assert compiled.shape == (1,) and bool(compiled[0]) == expected
 
 
 def test_quantize_trust_floor_matches_threshold_boundary():
-    assert quantize_trust(0.45) == 45
-    assert quantize_trust(0.4499) == 44
-    assert quantize_trust(0.999) == 99
-    assert quantize_trust(0.0) == 0
+    taus = [0.45, 0.4499, 0.999, 0.0]
+    for trust, node in ((45, 0), (44, 1), (99, 2), (0, 3)):
+        assert list(PolicyGate(parse_policy(f"trust == {trust}")).accepted(taus)) == [node]
 
 
 def test_gate_modes_agree():
@@ -170,17 +173,17 @@ def test_gate_rejects_below_threshold():
 
 
 def test_gate_role_requirement():
-    gate = PolicyGate()
-    assert not gate.decide(gate.node_attributes(0.9, role_code=0))
-    assert gate.decide(gate.node_attributes(0.9, role_code=ROLE_VALIDATOR))
+    # every simulated node presents the validator role
+    assert list(PolicyGate().accepted([0.9])) == [0]
+    assert list(PolicyGate(parse_policy("(trust >= 45) & (role == 3)")).accepted([0.9])) == []
 
 
 def test_ciphertext_backend_tag_enforced(backend):
     other = SimulatedFheBackend(seed=9)
-    ct = backend.encrypt_attributes(ATTRS)
+    [ct] = seal_json(backend, ATTRS)
     ct_other = type(ct)("other-backend", ct.payload)
     with pytest.raises(AbacError):
-        other.decrypt_attributes(ct_other)
+        other._open([ct_other])
 
 
 def per_byte_mask(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -230,13 +233,19 @@ def test_mask_of_a_batch_matches_per_message_masks(backend):
     assert backend._mask([], []) == []
 
 
-def per_node_accepted(gate: PolicyGate, backend: SimulatedFheBackend, trusts) -> np.ndarray:
-    """Reference: every node through encrypt -> eval -> decrypt on its own."""
-    decisions = []
-    for tau in trusts:
-        ct = backend.encrypt_attributes(gate.node_attributes(float(tau)))
-        decisions.append(backend.decrypt_decision(backend.eval_policy(gate.policy, ct)))
-    return np.flatnonzero(np.array(decisions, dtype=bool))
+def per_node_pipeline(policy, backend: SimulatedFheBackend, trusts):
+    """Reference for the encrypted gate, node by node: seal the node's attributes under a fresh
+    nonce, open them, decide with ``eval_policy_plain`` and seal the decision under the next nonce.
+    Returns the attribute ciphertexts, the decision ciphertexts and the accepted nodes."""
+    attributes, decisions, accepted = [], [], []
+    for node, tau in enumerate(trusts):
+        attrs = {**NODE_ATTRIBUTES, "trust": max(0, min(100, int(np.floor(float(tau) * 100.0))))}
+        attributes += seal_json(backend, attrs)
+        decision = eval_policy_plain(policy, backend._open(attributes[-1:])[0])
+        decisions += seal_json(backend, {"decision": int(decision)})
+        if backend._open(decisions[-1:])[0]["decision"]:
+            accepted.append(node)
+    return attributes, decisions, np.array(accepted, dtype=np.int64)
 
 
 GATE_POLICIES = (None, "(trust < 30) | (trust >= 70)", "(trust != 45) & (clearance >= 3)")
@@ -263,7 +272,7 @@ def test_batched_encrypted_gate_matches_plain_and_per_node(policy_text):
         accepted = gate.accepted(taus)
         assert accepted.dtype == np.int64
         assert np.array_equal(accepted, plain.accepted(taus))
-        assert np.array_equal(accepted, per_node_accepted(gate, reference, taus))
+        assert np.array_equal(accepted, per_node_pipeline(gate.policy, reference, taus)[2])
         # the batch draws the nonces the per-node loop draws, in the same order
         assert gate.backend._rng.bit_generator.state == reference._rng.bit_generator.state
 
@@ -281,11 +290,7 @@ def test_batched_encrypted_gate_seals_the_per_node_ciphertexts():
     gate.backend.eval_rows = recording_eval_rows
     taus = np.array([0.5, 0.5, 0.2, 0.9, 0.45, 0.5])
     gate.accepted(taus)
-    reference = SimulatedFheBackend(seed=4)
-    attributes, decisions = [], []
-    for tau in taus:
-        attributes.append(reference.encrypt_attributes(gate.node_attributes(tau)))
-        decisions.append(reference.eval_policy(gate.policy, attributes[-1]))
+    attributes, decisions, _ = per_node_pipeline(gate.policy, SimulatedFheBackend(seed=4), taus)
     # one ciphertext per node, each under its own nonce, byte for byte the per-node pipeline's
     assert batch["attributes"] == attributes
     assert batch["decisions"] == decisions
@@ -299,6 +304,4 @@ def test_batched_encrypted_gate_enforces_schema():
     state = backend._rng.bit_generator.state
     with pytest.raises(AbacError, match=r"'trust'=61 outside declared range \[0, 60\]"):
         gate.accepted([0.2, 0.61, 0.9])
-    with pytest.raises(AbacError, match=r"'trust'=61 outside"):
-        backend.encrypt_attributes(gate.node_attributes(0.61))
     assert backend._rng.bit_generator.state == state

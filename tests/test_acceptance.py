@@ -12,11 +12,7 @@ import statistics
 import numpy as np
 import pytest
 
-from trustsim.abac import (
-    AttributeSet,
-    SimulatedFheBackend,
-    eval_policy_plain,
-)
+from trustsim.abac import SimulatedFheBackend, eval_policy_plain
 from trustsim.agents.nn import DuelingNetwork, double_q_targets
 from trustsim.config import ExperimentConfig
 from trustsim.env import RewardConfig, compute_reward
@@ -31,6 +27,7 @@ from trustsim.trust import (
     trust_score,
 )
 
+from test_abac import encrypted_decision
 from test_agents import finite_difference_check, kink_free_fixture
 
 SEEDS = (42, 43, 44)
@@ -165,17 +162,14 @@ def test_acceptance_5_abac_parity():
     agree = 0
     for _ in range(1_000):
         policy = random_policy()
-        attrs = AttributeSet(
-            {
-                "trust": int(rng.integers(0, 101)),
-                "role": int(rng.integers(0, 16)),
-                "clearance": int(rng.integers(0, 16)),
-                "permissions": int(rng.integers(0, 256)),
-            }
-        )
+        attrs = {
+            "trust": int(rng.integers(0, 101)),
+            "role": int(rng.integers(0, 16)),
+            "clearance": int(rng.integers(0, 16)),
+            "permissions": int(rng.integers(0, 256)),
+        }
         plain = eval_policy_plain(policy, attrs)
-        ct = backend.encrypt_attributes(attrs)
-        enc = backend.decrypt_decision(backend.eval_policy(policy, ct))
+        enc = encrypted_decision(backend, policy, attrs)
         agree += plain == enc
     assert agree == 1_000
     print("ACCEPTANCE 5 abac parity: PASS (1000/1000 encrypted decisions match plaintext)")

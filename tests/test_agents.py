@@ -3,28 +3,23 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim.agents import (
+from trustsim.agents import load_agent, save_agent
+from trustsim.agents.checkpoint import save_checkpoint
+from trustsim.agents.dqn import DqnAgent
+from trustsim.agents.marl import MarlPool, majority_vote
+from trustsim.agents.nn import (
+    Adam,
     AgentHyperparams,
-    DqnAgent,
     DuelingNetwork,
-    MarlPool,
-    QTable,
-    ReplayBuffer,
-    TabularAgent,
-    default_spec,
-    discretize,
-    discretize_value,
+    Replay,
     double_q_targets,
     epsilon_greedy,
-    load_agent,
-    majority_vote,
-    save_agent,
-    save_checkpoint,
-    tabular_update,
+    glorot_uniform,
+    layout_views,
+    learn,
     td_loss_and_grads,
-    train_step,
 )
-from trustsim.agents.nn import Adam, glorot_uniform, layout_views
+from trustsim.agents.tabular import QTable, TabularAgent, default_spec, discretize, discretize_value, tabular_update
 from trustsim.env import Action
 
 HP = AgentHyperparams()
@@ -328,23 +323,15 @@ def test_clone_copies_flat_without_gradient_buffer():
     assert finite_difference_check(net, states, actions, targets) < 1e-4
 
 
-def test_train_step_skips_until_buffer_fills():
-    hp = AgentHyperparams(batch_size=8)
-    net, tgt = tiny_net(1), tiny_net(2)
-    opt = Adam(net.flat, lr=hp.learning_rate)
-    buf = ReplayBuffer(100, 16)
-    assert train_step(net, tgt, buf, opt, hp, np.random.default_rng(0)) is None
-
-
-def test_train_step_loss_finite_nonnegative():
+def test_learn_loss_finite_nonnegative():
     hp = AgentHyperparams(batch_size=8)
     rng = np.random.default_rng(3)
     net, tgt = tiny_net(1), tiny_net(2)
     opt = Adam(net.flat, lr=hp.learning_rate)
-    buf = ReplayBuffer(100, 16)
+    replay = Replay(1, 100, 16)
     for _ in range(8):
-        buf.push(rng.normal(size=16), int(rng.integers(3)), float(rng.normal()), rng.normal(size=16))
-    loss = train_step(net, tgt, buf, opt, hp, rng)
+        replay.push((0,), rng.normal(size=16), int(rng.integers(3)), float(rng.normal()), rng.normal(size=16))
+    loss = learn(net, tgt, opt, replay.sample(hp.batch_size, rng), hp)
     assert loss is not None and np.isfinite(loss) and loss >= 0.0
 
 
@@ -354,12 +341,12 @@ def test_overfit_single_transition():
     net, tgt = tiny_net(5), tiny_net(6)
     tgt.flat[:] = 0.0  # a zero target network bootstraps 0, so the target stays 0.5
     opt = Adam(net.flat, lr=hp.learning_rate)
-    buf = ReplayBuffer(10, 16)
+    replay = Replay(1, 10, 16)
     s = rng.normal(size=16)
-    buf.push(s, 1, 0.5, rng.normal(size=16))
+    replay.push((0,), s, 1, 0.5, rng.normal(size=16))
     loss = None
     for _ in range(500):
-        loss = train_step(net, tgt, buf, opt, hp, rng)
+        loss = learn(net, tgt, opt, replay.sample(hp.batch_size, rng), hp)
     assert loss is not None and loss < 1e-3
 
 
@@ -391,15 +378,39 @@ def test_target_unchanged_before_first_sync():
 # --- replay buffer ----------------------------------------------------------------
 
 
+class ReferenceRing:
+    """One agent's replay as a list of transitions, overwritten oldest first and sampled without
+    replacement by ``rng.choice``: the reference for each ring of a ``Replay``."""
+
+    def __init__(self, capacity: int):
+        self.capacity, self.rows, self.cursor = capacity, [], 0
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def push(self, state, action, reward, next_state) -> None:
+        transition = (np.array(state, dtype=float), action, reward, np.array(next_state, dtype=float))
+        if len(self.rows) < self.capacity:
+            self.rows.append(transition)
+        else:
+            self.rows[self.cursor] = transition
+        self.cursor = (self.cursor + 1) % self.capacity
+
+    def sample(self, batch: int, rng: np.random.Generator):
+        picks = [self.rows[i] for i in rng.choice(len(self.rows), size=batch, replace=False)]
+        states, actions, rewards, next_states = zip(*picks)
+        return np.array(states), np.array(actions, dtype=np.int64), np.array(rewards), np.array(next_states)
+
+
 def test_replay_uniform_inclusion_frequencies():
     rng = np.random.default_rng(42)
-    buf = ReplayBuffer(100, 2)
+    replay = Replay(1, 100, 2)
     for i in range(100):
-        buf.push(np.array([i, 0.0]), 0, 0.0, np.zeros(2))
+        replay.push((0,), np.array([i, 0.0]), 0, 0.0, np.zeros(2))
     counts = np.zeros(100)
     batches = 10_000
     for _ in range(batches):
-        idx = buf.sample_indices(64, rng)
+        idx = replay.sample(64, rng)[0][:, 0].astype(int)
         assert len(set(idx.tolist())) == 64  # without replacement
         counts[idx] += 1
     expected = batches * 64 / 100
@@ -407,35 +418,40 @@ def test_replay_uniform_inclusion_frequencies():
 
 
 def test_replay_ring_overwrites_oldest():
-    buf = ReplayBuffer(4, 1)
+    replay = Replay(1, 4, 1)
     for i in range(6):
-        buf.push(np.array([float(i)]), 0, 0.0, np.zeros(1))
-    assert len(buf) == 4
-    assert set(buf.states[:, 0].tolist()) == {2.0, 3.0, 4.0, 5.0}
+        replay.push((0,), np.array([float(i)]), 0, 0.0, np.zeros(1))
+    assert replay.sizes == [4]
+    assert set(replay.states[:, 0].tolist()) == {2.0, 3.0, 4.0, 5.0}
 
 
 def test_replay_columns_are_disjoint_views_of_one_block():
     capacity, dim = 5, 3
-    buf = ReplayBuffer(capacity, dim)
-    columns = (buf.states, buf.next_states, buf.rewards, buf.actions)
-    base = buf.states.base
+    replay = Replay(1, capacity, dim)
+    columns = (replay.states, replay.next_states, replay.rewards, replay.actions)
+    base = replay.states.base
     assert base is not None and all(c.base is base for c in columns)
     assert base.nbytes == sum(c.nbytes for c in columns)
-    assert buf.actions.dtype == np.int64 and not buf.actions.any()
+    assert replay.actions.dtype == np.int64 and not replay.actions.any()
     for i in range(capacity):
-        buf.push(np.full(dim, i + 0.25), i + 1, -float(i), np.full(dim, i + 0.5))
-    states, actions, rewards, next_states = buf.gather(np.arange(capacity))
-    assert np.array_equal(states, np.arange(capacity)[:, None] + np.full((capacity, dim), 0.25))
-    assert np.array_equal(next_states, np.arange(capacity)[:, None] + np.full((capacity, dim), 0.5))
-    assert actions.dtype == np.int64 and actions.tolist() == [1, 2, 3, 4, 5]
-    assert rewards.tolist() == [0.0, -1.0, -2.0, -3.0, -4.0]
+        replay.push((0,), np.full(dim, i + 0.25), i + 1, -float(i), np.full(dim, i + 0.5))
+    assert np.array_equal(replay.states, np.arange(capacity)[:, None] + np.full((capacity, dim), 0.25))
+    assert np.array_equal(replay.next_states, np.arange(capacity)[:, None] + np.full((capacity, dim), 0.5))
+    assert replay.actions.tolist() == [1, 2, 3, 4, 5]
+    assert replay.rewards.tolist() == [0.0, -1.0, -2.0, -3.0, -4.0]
 
 
-def test_replay_rejects_oversized_batch():
-    buf = ReplayBuffer(10, 1)
-    buf.push(np.zeros(1), 0, 0.0, np.zeros(1))
-    with pytest.raises(ValueError):
-        buf.sample_indices(2, np.random.default_rng(0))
+def test_replay_short_of_its_quota_returns_none():
+    hp = AgentHyperparams(batch_size=2)
+    net, tgt = tiny_net(1), tiny_net(2)
+    opt = Adam(net.flat, lr=hp.learning_rate)
+    replay = Replay(1, 10, 16)
+    rng = np.random.default_rng(0)
+    assert replay.sample(2, rng) is None
+    replay.push((0,), np.zeros(16), 0, 0.0, np.zeros(16))
+    assert replay.sample(2, rng) is None
+    assert learn(net, tgt, opt, replay.sample(hp.batch_size, rng), hp) is None and opt.t == 0
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 # --- epsilon schedule ----------------------------------------------------------------
@@ -506,7 +522,7 @@ def test_marl_pooled_batch_quota():
     rng = np.random.default_rng(1)
     for agent in range(16):
         for _ in range(4):
-            pool.push([agent], rng.normal(size=16), 0, 0.0, rng.normal(size=16))
+            pool.replay.push([agent], rng.normal(size=16), 0, 0.0, rng.normal(size=16))
     batch = pool.pooled_batch()
     assert batch is not None
     assert len(batch[0]) == 64  # 4 from each of 16 buffers
@@ -539,7 +555,7 @@ def test_marl_replay_block_matches_per_agent_buffers(n_agents, batch_size):
     hp = AgentHyperparams(batch_size=batch_size, buffer_capacity=max(batch_size, 10))
     pool = MarlPool(hp, np.random.default_rng(0), n_agents=n_agents)
     pool.train_once = lambda: None  # compare the batches alone
-    buffers = [ReplayBuffer(hp.buffer_capacity, 16) for _ in range(n_agents)]
+    buffers = [ReferenceRing(hp.buffer_capacity) for _ in range(n_agents)]
     ref_rng = np.random.default_rng()
     ref_rng.bit_generator.state = pool.train_rng.bit_generator.state
     rng = np.random.default_rng(n_agents)
@@ -553,7 +569,7 @@ def test_marl_replay_block_matches_per_agent_buffers(n_agents, batch_size):
         for i, buf in enumerate(buffers):
             if votes is None or votes[i] == action:
                 buf.push(state, action, reward * hp.reward_scale, next_state)
-        assert pool.sizes == [len(b) for b in buffers]
+        assert pool.replay.sizes == [len(b) for b in buffers]
         batch, expected = pool.pooled_batch(), reference_pooled_batch(buffers, batch_size, ref_rng)
         assert (batch is None) == (expected is None)
         for got, want in zip(batch or (), expected or ()):
@@ -596,18 +612,20 @@ def unstacked_update(net, target, optimizer, batch, hp):
 def test_stacked_dqn_updates_match_unstacked_sequence():
     hp = AgentHyperparams(batch_size=64, target_sync_every=10)
     agent, reference = DqnAgent(hp, np.random.default_rng(5), 50), DqnAgent(hp, np.random.default_rng(5), 50)
+    ring = ReferenceRing(hp.buffer_capacity)
     rng = np.random.default_rng(6)
     for step in range(hp.batch_size + 29):  # 30 updates
         transition = (rng.normal(size=16), int(rng.integers(3)), float(rng.normal()), rng.normal(size=16))
         agent.observe(*transition)
         s, a, r, s_next = transition
-        reference.buffer.push(s, a, r * hp.reward_scale, s_next)
-        if len(reference.buffer) >= hp.batch_size:
-            batch = reference.buffer.sample(hp.batch_size, reference.rng)
+        ring.push(s, a, r * hp.reward_scale, s_next)
+        if len(ring) >= hp.batch_size:
+            batch = ring.sample(hp.batch_size, reference.rng)
             unstacked_update(reference.online, reference.target, reference.optimizer, batch, hp)
         if (step + 1) % hp.target_sync_every == 0:
             reference.target.copy_from(reference.online)
         assert agent.online.flat.tobytes() == reference.online.flat.tobytes()
+        assert agent.rng.bit_generator.state == reference.rng.bit_generator.state
     assert agent.optimizer.t == 30
 
 

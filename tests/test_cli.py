@@ -292,6 +292,13 @@ def test_cli_rejects_bad_agent(capsys):
         ["--set", "agent_hyperparams.head_hidden=0"],
         ["--set", "agent_hyperparams.learning_rate=0"],
         ["--set", "agent_hyperparams.tabular_learning_rate=-0.1"],
+        ["--set", "experiment.gate_mode=bogus"],
+        ["--set", "experiment.policy_file={tmp}/missing.policy"],
+        ["--set", "experiment.policy_file={tmp}/syntax.policy"],
+        ["--set", "experiment.policy_file={tmp}/tier.policy"],
+        ["--set", "experiment.policy_file={tmp}/binary.policy"],
+        ["--matrix", "--agent", "rl", "--attack", "nma", "--seeds", "42",
+         "--set", "experiment.policy_file={tmp}/tier.policy"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -328,9 +335,19 @@ def test_cli_rejects_bad_agent(capsys):
         "zero-head-hidden",
         "zero-learning-rate",
         "negative-tabular-learning-rate",
+        "unknown-gate-mode",
+        "missing-policy-file",
+        "unparsable-policy",
+        "policy-attribute-nodes-lack",
+        "policy-not-utf8",
+        "matrix-policy-attribute-nodes-lack",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
+    (tmp_path / "syntax.policy").write_text("trust >>> 4\n")
+    (tmp_path / "tier.policy").write_text("(trust >= 45) & (tier == 1)\n")
+    (tmp_path / "binary.policy").write_bytes(b"\xfftrust >= 45\n")
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv + ["--episodes", "1", "--steps", "5", "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
     lines = captured.err.splitlines()

@@ -128,13 +128,16 @@ def test_round_detected_misbehavior_draws_malicious_evidence():
 
 def test_malicious_votes_invalid_unless_posing():
     net = net_with_malicious(16, 0)
-    out = run_consensus_round(net, range(16), np.random.default_rng(0), CFG)
-    assert out.delegates.tolist() == list(range(16))
-    assert not out.valid_votes[0] and out.valid_votes[1:].all()
+    log = []
+    out = run_consensus_round(net, range(16), np.random.default_rng(0), CFG, evidence_log=log)
+    assert [entry[3] for entry in log] == list(range(16))
+    assert log[0][4] in (EvidenceKind.INVALID.value, EvidenceKind.MALICIOUS.value)
+    assert all(entry[4] == EvidenceKind.VALID.value for entry in log[1:])
     assert out.block_created  # 15 of 16 >= 11
     # a posing node votes Valid
-    posing = run_consensus_round(net, range(16), np.random.default_rng(0), CFG, posing=np.array([0]))
-    assert posing.valid_votes.all()
+    log = []
+    run_consensus_round(net, range(16), np.random.default_rng(0), CFG, posing=np.array([0]), evidence_log=log)
+    assert [entry[4] for entry in log] == [EvidenceKind.VALID.value] * 16
 
 
 def test_round_rejects_repeated_or_out_of_range_delegates():
