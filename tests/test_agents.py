@@ -441,7 +441,16 @@ def test_replay_columns_are_disjoint_views_of_one_block():
     assert replay.rewards.tolist() == [0.0, -1.0, -2.0, -3.0, -4.0]
 
 
-def test_replay_short_of_its_quota_returns_none():
+def test_replay_rejects_oversized_batch():
+    # a ring holding fewer rows than its quota yields no batch and draws nothing from the rng
+    replay = Replay(1, 10, 1)
+    rng = np.random.default_rng(0)
+    replay.push((0,), np.zeros(1), 0, 0.0, np.zeros(1))
+    assert replay.sample(2, rng) is None
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
+
+
+def test_train_step_skips_until_buffer_fills():
     hp = AgentHyperparams(batch_size=2)
     net, tgt = tiny_net(1), tiny_net(2)
     opt = Adam(net.flat, lr=hp.learning_rate)
@@ -450,7 +459,9 @@ def test_replay_short_of_its_quota_returns_none():
     assert replay.sample(2, rng) is None
     replay.push((0,), np.zeros(16), 0, 0.0, np.zeros(16))
     assert replay.sample(2, rng) is None
+    before = net.flat.copy()
     assert learn(net, tgt, opt, replay.sample(hp.batch_size, rng), hp) is None and opt.t == 0
+    np.testing.assert_array_equal(net.flat, before)
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
