@@ -24,6 +24,7 @@ import itertools
 import json
 import re
 from dataclasses import dataclass
+from types import MappingProxyType
 
 import numpy as np
 
@@ -222,6 +223,26 @@ class Ciphertext:
     payload: bytes
 
 
+def _json_object(plain: bytes) -> dict:
+    """The JSON object a plaintext holds; AbacError for anything else."""
+    try:
+        obj = json.loads(plain.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError and JSONDecodeError
+        obj = None
+    if not isinstance(obj, dict):
+        raise AbacError("ciphertext does not open to a JSON object")
+    return obj
+
+
+def _decision(plain: bytes) -> bool:
+    """The decision a plaintext holds: exactly ``{"decision": 0}`` or ``{"decision": 1}``."""
+    obj = _json_object(plain)
+    value = obj.get("decision")
+    if len(obj) != 1 or type(value) is not int or value not in (0, 1):
+        raise AbacError("ciphertext does not hold a decision")
+    return value == 1
+
+
 class SimulatedFheBackend:
     """Simulated-encryption backend.
 
@@ -231,8 +252,11 @@ class SimulatedFheBackend:
     attribute ciphertexts, decides them all with one call of a compiled
     policy and seals each decision.  Sealing and opening take lists: a
     batch is masked with one XOR over its concatenated messages, and each
-    distinct plaintext is parsed once per backend (a simulation presents at
-    most 101 attribute plaintexts and 2 decisions).
+    distinct plaintext is parsed, and checked, once per backend and parser
+    (a simulation presents at most 101 attribute plaintexts and 2
+    decisions); an attribute plaintext is kept as its row of int64 bytes
+    for the columns asked for.  The schema is fixed at construction, and
+    its bounds are built once per column tuple.
     This reproduces the pipeline semantics only; it offers no cryptographic
     strength and says so in its tag.
     """
@@ -242,24 +266,30 @@ class SimulatedFheBackend:
     def __init__(self, seed: int = 0, schema: dict | None = None):
         self._rng = np.random.default_rng(np.random.SeedSequence([0x5EC12E7, seed]))
         self._key = self._rng.bytes(32)
-        self.schema = dict(DEFAULT_SCHEMA if schema is None else schema)
-        self._parsed: dict[bytes, object] = {}
+        # blake2b's state after the key, copied for each keystream block
+        self._keyed = hashlib.blake2b(self._key, digest_size=64)
+        # fixed at construction: its bounds are built once per column tuple
+        self.schema = MappingProxyType(dict(DEFAULT_SCHEMA if schema is None else schema))
+        self._opened: dict = {}  # parser -> {plaintext: parsed}
+        self._bounds: dict[tuple, tuple] = {}  # columns -> (lows, highs)
+        self._row_parsers: dict[tuple, object] = {}  # columns -> parser of a row
 
     def _mask(self, nonces: list, messages: list) -> list[bytes]:
         """Each message XOR its keystream, blake2b(key || nonce || counter) per
-        64-byte block, as one XOR of the concatenations read as two integers."""
-        key = self._key
+        64-byte block, as one XOR of the concatenations read as uint8 arrays."""
+        keyed = self._keyed
         # a message's last block is cut to its length, so the blocks join into the keystreams back to back
-        blocks = [
-            hashlib.blake2b(key + nonce + i.to_bytes(4, "little"), digest_size=64).digest()[: len(data) - 64 * i]
-            for nonce, data in zip(nonces, messages)
-            for i in range(-(-len(data) // 64))
-        ]
-        stream = b"".join(blocks)
-        masked = int.from_bytes(b"".join(messages), "little") ^ int.from_bytes(stream, "little")
-        masked = masked.to_bytes(len(stream), "little")
-        ends = list(itertools.accumulate(map(len, messages)))
-        return [masked[end - len(data) : end] for data, end in zip(messages, ends)]
+        blocks, offsets = [], [0]
+        for nonce, data in zip(nonces, messages):
+            size = len(data)
+            for start in range(0, size, 64):
+                block = keyed.copy()
+                block.update(nonce + (start >> 6).to_bytes(4, "little"))
+                blocks.append(block.digest()[: size - start])
+            offsets.append(offsets[-1] + size)
+        stream = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+        masked = (np.frombuffer(b"".join(messages), dtype=np.uint8) ^ stream).tobytes()
+        return [masked[start:end] for start, end in itertools.pairwise(offsets)]
 
     def draw_nonces(self, count: int) -> list[bytes]:
         """``count`` fresh nonces from one draw; the same bytes ``count`` seals would draw."""
@@ -272,15 +302,30 @@ class SimulatedFheBackend:
         """Plaintext i sealed under ``nonces[i]``."""
         return [Ciphertext(self.tag, nonce + body) for nonce, body in zip(nonces, self._mask(nonces, plains))]
 
-    def _open(self, cts: list) -> list:
-        """The plaintext object of each ciphertext, shared with every other opening of the same bytes."""
+    def _open(self, cts: list, parse=_json_object) -> list:
+        """``parse`` of each ciphertext's plaintext (by default its JSON object), shared with every
+        other opening of the same bytes: each distinct plaintext is parsed, and so checked, once."""
+        nonces, bodies = [], []
         for ct in cts:
+            payload = ct.payload
             if ct.backend_tag != self.tag:
                 raise AbacError(f"ciphertext belongs to backend {ct.backend_tag!r}, not {self.tag!r}")
-        plains = self._mask([ct.payload[:NONCE_BYTES] for ct in cts], [ct.payload[NONCE_BYTES:] for ct in cts])
-        for plain in set(plains) - self._parsed.keys():
-            self._parsed[plain] = json.loads(plain.decode("utf-8"))
-        return [self._parsed[plain] for plain in plains]
+            if len(payload) < NONCE_BYTES:
+                raise AbacError(f"ciphertext payload of {len(payload)} bytes is shorter than a nonce")
+            nonces.append(payload[:NONCE_BYTES])
+            bodies.append(payload[NONCE_BYTES:])
+        plains = self._mask(nonces, bodies)
+        opened = self._opened.setdefault(parse, {})
+        for plain in set(plains).difference(opened):
+            opened[plain] = parse(plain)
+        return [opened[plain] for plain in plains]
+
+    def _schema_bounds(self, columns: tuple) -> tuple:
+        bounds = self._bounds.get(columns)
+        if bounds is None:
+            pairs = [self.schema.get(name, (_INT_MIN, _INT_MAX)) for name in columns]
+            bounds = self._bounds[columns] = tuple(np.array(pairs, dtype=np.int64).reshape(len(columns), 2).T)
+        return bounds
 
     def check_rows(self, columns: tuple, matrix: np.ndarray) -> None:
         """Refuse an attribute matrix with a value outside the schema's declared range.
@@ -288,32 +333,41 @@ class SimulatedFheBackend:
         Raises on the first out-of-range value in row-major order, before
         any row is sealed; columns the schema does not name are unbounded.
         """
-        bounds = np.array([self.schema.get(name, (_INT_MIN, _INT_MAX)) for name in columns], dtype=np.int64)
-        outside = (matrix < bounds[:, 0]) | (matrix > bounds[:, 1])
+        lows, highs = self._schema_bounds(columns)
+        outside = (matrix < lows) | (matrix > highs)
         if outside.any():
             i, j = np.argwhere(outside)[0]
-            raise AbacError(
-                f"attribute {columns[j]!r}={matrix[i, j]} outside declared range [{bounds[j, 0]}, {bounds[j, 1]}]"
-            )
+            raise AbacError(f"attribute {columns[j]!r}={matrix[i, j]} outside declared range [{lows[j]}, {highs[j]}]")
+
+    def _row_parser(self, columns: tuple):
+        """The parser of an attribute plaintext into its ``columns`` as int64 bytes, one per column tuple."""
+        parse = self._row_parsers.get(columns)
+        if parse is None:
+
+            def parse(plain: bytes) -> bytes:
+                values = _json_object(plain)
+                for name in columns:
+                    if name not in values:
+                        raise AbacError(f"ciphertext lacks attribute {name!r}")
+                    value = values[name]
+                    if type(value) is not int or not _INT_MIN <= value <= _INT_MAX:
+                        raise AbacError(f"attribute {name!r}={value!r} is not a 64-bit integer")
+                return np.array([values[name] for name in columns], dtype=np.int64).tobytes()
+
+            self._row_parsers[columns] = parse
+        return parse
 
     def eval_rows(self, predicate, columns: tuple, cts: list, nonces: list) -> list[Ciphertext]:
         """Open every attribute ciphertext, decide all rows with one call of the
         compiled ``predicate`` and seal decision i under ``nonces[i]``."""
-        rows = []
-        for values in self._open(cts):
-            try:
-                rows.append([values[name] for name in columns])
-            except KeyError as err:
-                raise AbacError(f"ciphertext lacks attribute {err.args[0]!r}") from None
+        rows = self._open(cts, self._row_parser(columns))
         # the reshape keeps an empty batch two-dimensional for the predicate
-        decisions = predicate(np.array(rows, dtype=np.int64).reshape(len(rows), len(columns)))
-        return self.seal(nonces, [_DECISION_JSON[d] for d in decisions.tolist()])
+        matrix = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), len(columns))
+        return self.seal(nonces, [_DECISION_JSON[d] for d in predicate(matrix).tolist()])
 
     def decrypt_decisions(self, cts: list) -> list[bool]:
-        objs = self._open(cts)
-        if any(set(obj) != {"decision"} for obj in objs):
-            raise AbacError("ciphertext does not hold a decision")
-        return [bool(obj["decision"]) for obj in objs]
+        """The decision each ciphertext holds; AbacError unless it opens to ``{"decision": 0 or 1}``."""
+        return self._open(cts, _decision)
 
 
 # --- the gate used by the simulation ----------------------------------------

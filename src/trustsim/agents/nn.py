@@ -5,6 +5,11 @@ advantage head 64->32->3 by default), so the network is implemented
 directly on numpy arrays with an adaptive-moment optimizer rather than
 pulling in an ML framework.  All parameters live in one contiguous float64
 vector; the per-layer weights and biases are reshaped views into it.
+
+Transitions live in ``Replay``: one ring per agent in one block.  A batch
+from several rings is drawn by ``pooled_choice``, which makes one generator
+call and gives the rows and generator state of one ``Generator.choice``
+call per ring.
 """
 
 from __future__ import annotations
@@ -341,8 +346,9 @@ class Replay:
 
     def sample(self, batch: int, rng: np.random.Generator):
         """``(states, actions, rewards, next_states)``: equal draws from each nonempty ring, topped up
-        round-robin, or None while the rings cannot fill their quotas.  Each ring draws by its own
-        ``rng.choice`` call, in agent order; one ring draws ``rng.choice(size, batch, replace=False)``.
+        round-robin, or None while the rings cannot fill their quotas.  Ring i's rows are
+        ``rng.choice(size_i, quota_i, replace=False)``, in agent order, with the generator left where
+        those calls leave it; one ring makes that call, several make one ``pooled_choice``.
         """
         sizes = self.sizes
         nonempty = [i for i, size in enumerate(sizes) if size > 0]
@@ -354,9 +360,65 @@ class Replay:
             quotas[i] += 1
         if any(q > sizes[i] for q, i in zip(quotas, nonempty)):
             return None
-        draws = [rng.choice(sizes[i], q, replace=False) + i * self.capacity for i, q in zip(nonempty, quotas) if q > 0]
-        idx = np.concatenate(draws)
+        drawing = [(i, q) for i, q in zip(nonempty, quotas) if q > 0]
+        if len(drawing) == 1:
+            [(i, q)] = drawing
+            idx = rng.choice(sizes[i], q, replace=False) + i * self.capacity
+        else:
+            idx = pooled_choice(rng, [(sizes[i], q) for i, q in drawing])
+            idx += np.repeat([i * self.capacity for i, _ in drawing], [q for _, q in drawing])
         return self.states[idx], self.actions[idx], self.rewards[idx], self.next_states[idx]
+
+
+def pooled_choice(rng: np.random.Generator, rings) -> np.ndarray:
+    """``np.concatenate([rng.choice(n, q, replace=False) for n, q in rings])`` from one generator call,
+    leaving ``rng`` where those calls leave it.  Every ring needs ``0 <= q <= n``.
+
+    ``choice`` fixes the inclusive bound of each of its draws before it draws any value, and makes
+    each draw as one bounded integer by Lemire's method (TOMACS 2019), as
+    ``integers(0, highs, endpoint=True)`` does for each entry of ``highs``.  So one such call draws
+    the values of every ring, and ``choice``'s rules for turning them into rows are replayed here.
+    For a ring of ``n`` rows and quota ``q``:
+
+    - Floyd's algorithm (Bentley and Floyd, CACM 1987) draws on ``[0, j]`` for ``j = n - q, …, n - 1``
+      and takes ``j`` in place of a value already taken; a Fisher-Yates pass then swaps pick ``i``
+      with a draw on ``[0, i]`` for ``i = q - 1, …, 1``;
+    - above 10000 rows, when ``q > n // 50``, ``choice`` instead runs those swaps on ``arange(n)``
+      for ``i = n - 1, …, max(n - q, 1)`` and keeps the last ``q`` entries.
+    """
+    shuffled = [n > 10_000 and q > n // 50 for n, q in rings]
+    highs = []
+    for (n, q), whole in zip(rings, shuffled):
+        if whole:
+            highs += range(n - 1, max(n - q, 1) - 1, -1)
+        else:
+            highs += range(n - q, n)
+            highs += range(q - 1, 0, -1)
+    draws = rng.integers(0, highs, endpoint=True).tolist()
+    picks, pos = [], 0
+    for (n, q), whole in zip(rings, shuffled):
+        if whole:
+            moved = {}  # position -> entry, where it differs from arange(n)
+            for i in range(n - 1, max(n - q, 1) - 1, -1):
+                j = draws[pos]
+                pos += 1
+                moved[i], moved[j] = moved.get(j, j), moved.get(i, i)
+            picks += [moved.get(k, k) for k in range(n - q, n)]
+            continue
+        rows = draws[pos : pos + q]
+        pos += q
+        if len(set(rows)) < q:  # a repeated draw, which Floyd replaces by j
+            taken = set()
+            for k, j in enumerate(range(n - q, n)):
+                if rows[k] in taken:
+                    rows[k] = j
+                taken.add(rows[k])
+        for i in range(q - 1, 0, -1):
+            j = draws[pos]
+            pos += 1
+            rows[i], rows[j] = rows[j], rows[i]
+        picks += rows
+    return np.array(picks, dtype=np.int64)
 
 
 def learn(online: DuelingNetwork, target: DuelingNetwork, optimizer: Adam, batch, hp: AgentHyperparams) -> float | None:

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustsim.abac import (
+    DEFAULT_POLICY_TEXT,
     DEFAULT_SCHEMA,
     AbacError,
     And,
+    Ciphertext,
     Leaf,
     NODE_ATTRIBUTES,
     Or,
@@ -305,3 +307,76 @@ def test_batched_encrypted_gate_enforces_schema():
     with pytest.raises(AbacError, match=r"'trust'=61 outside declared range \[0, 60\]"):
         gate.accepted([0.2, 0.61, 0.9])
     assert backend._rng.bit_generator.state == state
+
+
+NOT_OBJECTS = (b"", b"\xff\xfe", b"not json", b"[1, 2]", b"7", b'"decision"', b"null")
+
+
+@pytest.mark.parametrize("plain", NOT_OBJECTS)
+def test_payload_that_is_not_a_json_object_is_refused(backend, plain):
+    cts = backend.seal(backend.draw_nonces(1), [plain])
+    columns = tuple(NODE_ATTRIBUTES)
+    predicate = compile_policy(parse_policy(DEFAULT_POLICY_TEXT), columns)
+    with pytest.raises(AbacError, match="does not open to a JSON object"):
+        backend._open(cts)
+    with pytest.raises(AbacError, match="does not open to a JSON object"):
+        backend.eval_rows(predicate, columns, cts, backend.draw_nonces(1))
+    with pytest.raises(AbacError, match="does not open to a JSON object"):
+        backend.decrypt_decisions(cts)
+
+
+def test_payload_shorter_than_a_nonce_is_refused(backend):
+    for payload in (b"", b"x" * 15):
+        with pytest.raises(AbacError, match="shorter than a nonce"):
+            backend.decrypt_decisions([Ciphertext(backend.tag, payload)])
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [{"decision": "yes"}, {"decision": 2}, {"decision": -1}, {"decision": True}, {"decision": 1.0},
+     {"decision": None}, {"decision": 1, "extra": 0}, {"verdict": 1}, {}],
+)
+def test_decrypt_decisions_accepts_only_zero_or_one(backend, obj):
+    with pytest.raises(AbacError, match="does not hold a decision"):
+        backend.decrypt_decisions(seal_json(backend, obj))
+
+
+@pytest.mark.parametrize("value", ["45", 45.0, True, None, [45], 2**63])
+def test_eval_rows_refuses_an_attribute_that_is_not_an_int64(backend, value):
+    columns = tuple(NODE_ATTRIBUTES)
+    cts = seal_json(backend, {**NODE_ATTRIBUTES, "trust": value})
+    predicate = compile_policy(parse_policy(DEFAULT_POLICY_TEXT), columns)
+    with pytest.raises(AbacError, match="'trust'=.* is not a 64-bit integer"):
+        backend.eval_rows(predicate, columns, cts, backend.draw_nonces(1))
+
+
+def test_each_distinct_plaintext_is_parsed_once(backend):
+    parsed = []
+
+    def parse(plain: bytes) -> int:
+        parsed.append(plain)
+        return len(plain)
+
+    plains = [b"aa", b"bbb", b"aa", b"aa"]
+    cts = backend.seal(backend.draw_nonces(len(plains)), plains)
+    assert len({ct.payload for ct in cts}) == len(plains)
+    assert backend._open(cts, parse) == [2, 3, 2, 2]
+    assert backend._open(cts[:1], parse) == [2]
+    assert sorted(parsed) == [b"aa", b"bbb"]
+    # a plaintext that fails its check fails every time it is opened
+    bad = seal_json(backend, {"decision": 5})
+    for _ in range(2):
+        with pytest.raises(AbacError):
+            backend.decrypt_decisions(bad)
+
+
+def test_schema_bounds_are_read_per_column_tuple():
+    backend = SimulatedFheBackend(seed=1, schema={"trust": (0, 60), "role": (2, 2)})
+    backend.check_rows(("trust", "role"), np.array([[60, 2]]))
+    with pytest.raises(AbacError, match=r"'role'=3 outside declared range \[2, 2\]"):
+        backend.check_rows(("trust", "role"), np.array([[10, 2], [60, 3]]))
+    with pytest.raises(AbacError, match=r"'trust'=61 outside declared range \[0, 60\]"):
+        backend.check_rows(("role", "trust"), np.array([[2, 61]]))
+    backend.check_rows((), np.zeros((3, 0), dtype=np.int64))
+    with pytest.raises(TypeError):  # fixed at construction, so the bounds built from it hold
+        backend.schema["trust"] = (0, 100)

@@ -1,10 +1,12 @@
+import json
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from trustsim.agents import load_agent, save_agent
-from trustsim.agents.checkpoint import save_checkpoint
+from trustsim.agents.checkpoint import MAGIC, save_checkpoint
 from trustsim.agents.dqn import DqnAgent
 from trustsim.agents.marl import MarlPool, majority_vote
 from trustsim.agents.nn import (
@@ -17,6 +19,7 @@ from trustsim.agents.nn import (
     glorot_uniform,
     layout_views,
     learn,
+    pooled_choice,
     td_loss_and_grads,
 )
 from trustsim.agents.tabular import QTable, TabularAgent, default_spec, discretize, discretize_value, tabular_update
@@ -402,6 +405,35 @@ class ReferenceRing:
         return np.array(states), np.array(actions, dtype=np.int64), np.array(rewards), np.array(next_states)
 
 
+@st.composite
+def quota_rings(draw):
+    """1-16 rings of 1-40000 rows, some above the 10000 rows where ``choice`` shuffles ``arange``,
+    with quotas from zero up to the ring's size."""
+    rings = []
+    for _ in range(draw(st.integers(1, 16))):
+        size = draw(st.one_of(st.integers(1, 64), st.integers(1, 40_000)))
+        quota = draw(st.one_of(st.just(0), st.just(min(size, 2000)), st.integers(0, min(size, 1000))))
+        rings.append((size, quota))
+    return rings
+
+
+# pooled_choice replays numpy's Generator.choice; CI runs this test on the oldest and the newest numpy
+@settings(max_examples=300, deadline=None)
+@given(rings=quota_rings(), seed=st.integers(0, 2**32 - 1), pending=st.booleans())
+@example(rings=[(40_000, 40_000), (10_001, 10_001), (1, 1), (3, 3)], seed=1, pending=True)
+@example(rings=[(10_001, 201), (10_001, 200), (10_000, 10_000), (20_000, 0)], seed=2, pending=False)
+def test_pooled_choice_matches_choice_per_ring(rings, seed, pending):
+    pooled, per_ring = np.random.default_rng(seed), np.random.default_rng(seed)
+    if pending:  # a bounded draw below 2**32 leaves the other half of a 64-bit output in PCG64's buffer
+        pooled.integers(0, 10)
+        per_ring.integers(0, 10)
+    assert pooled.bit_generator.state["has_uint32"] == int(pending)
+    expected = np.concatenate([per_ring.choice(n, q, replace=False) for n, q in rings])
+    got = pooled_choice(pooled, rings)
+    assert got.dtype == np.int64 and np.array_equal(got, expected)
+    assert pooled.bit_generator.state == per_ring.bit_generator.state
+
+
 def test_replay_uniform_inclusion_frequencies():
     rng = np.random.default_rng(42)
     replay = Replay(1, 100, 2)
@@ -711,6 +743,71 @@ def test_checkpoint_trailing_bytes_rejected(tmp_path):
         load_agent(path)
     path.write_bytes(path.read_bytes()[: -len("garbage") - 8])
     with pytest.raises(ValueError, match="truncated"):
+        load_agent(path)
+
+
+def split_checkpoint(path):
+    """``(header, body)`` of a checkpoint file, the header parsed."""
+    data = path.read_bytes()
+    assert data.startswith(MAGIC)
+    line, body = data[len(MAGIC) :].split(b"\n", 1)
+    return json.loads(line), body
+
+
+def write_checkpoint(path, header_line: bytes, body: bytes) -> None:
+    path.write_bytes(MAGIC + header_line + b"\n" + body)
+
+
+@pytest.mark.parametrize("kind", ["rl", "drl", "marl"])
+def test_checkpoint_damaged_header_rejected(tmp_path, kind):
+    rng = np.random.default_rng(9)
+    if kind == "marl":
+        agent = MarlPool(HP, rng, n_agents=4)
+    else:  # an untrained tabular agent has an empty Q table
+        agent = {"rl": TabularAgent, "drl": DqnAgent}[kind](HP, rng, 50)
+    path = tmp_path / f"{kind}.ckpt"
+    save_agent(agent, path, seed=9)
+    header, body = split_checkpoint(path)
+
+    def refused(header_line: bytes, match: str) -> None:
+        write_checkpoint(path, header_line, body)
+        with pytest.raises(ValueError, match=match):
+            load_agent(path)
+
+    def encode(obj) -> bytes:
+        return json.dumps(obj).encode("utf-8")
+
+    refused(b"\xff\xfe{}", "not UTF-8 JSON")
+    refused(b'{"kind": ', "not UTF-8 JSON")
+    refused(b"[1, 2]", "not a JSON object")
+    for key in ("kind", "topology", "hyperparams", "seed", "arrays"):
+        refused(encode({k: v for k, v in header.items() if k != key}), f"lacks {key}")
+    refused(encode({**header, "kind": ["dqn"]}), "unknown checkpoint kind")
+    hyperparams = header["hyperparams"]
+    refused(encode({**header, "hyperparams": {**hyperparams, "momentum": 0.9}}), "unknown hyperparameters momentum")
+    refused(encode({**header, "hyperparams": {**hyperparams, "learning_rate": "fast"}}), "unusable hyperparameters")
+    refused(encode({**header, "hyperparams": [1]}), "hyperparams are not a JSON object")
+    refused(encode({**header, "arrays": [{"name": "x", "shape": ["2"]}]}), "arrays are not a list of names and shapes")
+    read = {"rl": "bins", "drl": "input_dim", "marl": "n_agents"}[kind]
+    topology = {k: v for k, v in header["topology"].items() if k != read}
+    refused(encode({**header, "topology": topology}), "topology lacks")
+    for value in ("16", 0, None, [1]):
+        refused(encode({**header, "topology": {**header["topology"], read: value}}), "unusable .* topology")
+    for eps in ("0.5", 1.5, -0.1, None):
+        refused(encode({**header, "eps": eps}), "eps .* is not a number in")
+    write_checkpoint(path, encode(header), body)
+    load_agent(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_non_finite_body_rejected(tmp_path, value):
+    path = tmp_path / "drl.ckpt"
+    save_agent(DqnAgent(HP, np.random.default_rng(9), 50), path, seed=9)
+    header, body = split_checkpoint(path)
+    values = np.frombuffer(body, dtype="<f8").copy()
+    values[len(values) // 2] = value
+    write_checkpoint(path, json.dumps(header, sort_keys=True).encode("utf-8"), values.astype("<f8").tobytes())
+    with pytest.raises(ValueError, match="non-finite"):
         load_agent(path)
 
 
