@@ -2,11 +2,12 @@
 
 Decisions follow the pipeline encrypt(attributes) -> evaluate(policy) ->
 decrypt(decision), batched over all nodes of a step.  The default backend
-simulates encryption: payloads are blinded with a keyed stream so repeated
-encryptions of the same attributes differ, and evaluation runs the policy
-compiled to a vectorised predicate.  The tree-walking evaluator
-``eval_policy_plain`` is kept public as the parity oracle; every policy
-and attribute set must produce the same decision on both paths.
+simulates encryption: plaintexts are fixed-width integer slots, blinded
+with a keyed stream so repeated encryptions of the same attributes differ,
+and evaluation runs the policy compiled to a vectorised predicate.  The
+tree-walking evaluator ``eval_policy_plain`` is kept public as the parity
+oracle; every policy and attribute set must produce the same decision on
+both paths.
 
 Policy files use a small expression grammar, e.g.::
 
@@ -21,7 +22,6 @@ from __future__ import annotations
 import functools
 import hashlib
 import itertools
-import json
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -213,8 +213,6 @@ def load_policy(path) -> Policy:
 
 NONCE_BYTES = 16
 _INT_MIN, _INT_MAX = np.iinfo(np.int64).min, np.iinfo(np.int64).max
-# the plaintext each decision is sealed as
-_DECISION_JSON = {d: json.dumps({"decision": int(d)}).encode("utf-8") for d in (False, True)}
 
 
 @dataclass(frozen=True)
@@ -223,40 +221,20 @@ class Ciphertext:
     payload: bytes
 
 
-def _json_object(plain: bytes) -> dict:
-    """The JSON object a plaintext holds; AbacError for anything else."""
-    try:
-        obj = json.loads(plain.decode("utf-8"))
-    except ValueError:  # UnicodeDecodeError and JSONDecodeError
-        obj = None
-    if not isinstance(obj, dict):
-        raise AbacError("ciphertext does not open to a JSON object")
-    return obj
-
-
-def _decision(plain: bytes) -> bool:
-    """The decision a plaintext holds: exactly ``{"decision": 0}`` or ``{"decision": 1}``."""
-    obj = _json_object(plain)
-    value = obj.get("decision")
-    if len(obj) != 1 or type(value) is not int or value not in (0, 1):
-        raise AbacError("ciphertext does not hold a decision")
-    return value == 1
-
-
 class SimulatedFheBackend:
     """Simulated-encryption backend.
 
-    Payloads are the JSON encoding of the attributes XOR-masked with a
-    keystream derived from a per-instance secret key and a fresh nonce, so
-    identical plaintexts never share a payload.  ``eval_rows`` opens many
-    attribute ciphertexts, decides them all with one call of a compiled
-    policy and seals each decision.  Sealing and opening take lists: a
-    batch is masked with one XOR over its concatenated messages, and each
-    distinct plaintext is parsed, and checked, once per backend and parser
-    (a simulation presents at most 101 attribute plaintexts and 2
-    decisions); an attribute plaintext is kept as its row of int64 bytes
-    for the columns asked for.  The schema is fixed at construction, and
-    its bounds are built once per column tuple.
+    Plaintexts are fixed-width slot vectors, as FHE schemes pack integers
+    into plaintext slots: an attribute row is one little-endian int64 per
+    column, a decision one byte, 0 or 1.  Each plaintext is XOR-masked
+    with a keystream derived from a per-instance secret key and a fresh
+    nonce, so identical plaintexts never share a payload.  ``eval_rows``
+    opens many attribute ciphertexts, decides them all with one call of a
+    compiled policy and seals each decision.  Sealing and opening take
+    lists: a batch is masked with one XOR over its concatenated messages,
+    and opening refuses a body of any other width than the slots asked
+    for.  The schema is fixed at construction, and its bounds are built
+    once per column tuple.
     This reproduces the pipeline semantics only; it offers no cryptographic
     strength and says so in its tag.
     """
@@ -270,9 +248,7 @@ class SimulatedFheBackend:
         self._keyed = hashlib.blake2b(self._key, digest_size=64)
         # fixed at construction: its bounds are built once per column tuple
         self.schema = MappingProxyType(dict(DEFAULT_SCHEMA if schema is None else schema))
-        self._opened: dict = {}  # parser -> {plaintext: parsed}
         self._bounds: dict[tuple, tuple] = {}  # columns -> (lows, highs)
-        self._row_parsers: dict[tuple, object] = {}  # columns -> parser of a row
 
     def _mask(self, nonces: list, messages: list) -> list[bytes]:
         """Each message XOR its keystream, blake2b(key || nonce || counter) per
@@ -302,9 +278,15 @@ class SimulatedFheBackend:
         """Plaintext i sealed under ``nonces[i]``."""
         return [Ciphertext(self.tag, nonce + body) for nonce, body in zip(nonces, self._mask(nonces, plains))]
 
-    def _open(self, cts: list, parse=_json_object) -> list:
-        """``parse`` of each ciphertext's plaintext (by default its JSON object), shared with every
-        other opening of the same bytes: each distinct plaintext is parsed, and so checked, once."""
+    def seal_rows(self, nonces: list, matrix: np.ndarray) -> list[Ciphertext]:
+        """Row i of an integer matrix sealed under ``nonces[i]`` as one little-endian int64 slot per column."""
+        width = 8 * matrix.shape[1]
+        data = np.asarray(matrix, dtype="<i8").tobytes()
+        return self.seal(nonces, [data[i * width : (i + 1) * width] for i in range(len(matrix))])
+
+    def _open(self, cts: list, width: int) -> bytes:
+        """The plaintexts of ``cts``, joined; AbacError for a ciphertext of another
+        backend or one whose body is not exactly ``width`` bytes."""
         nonces, bodies = [], []
         for ct in cts:
             payload = ct.payload
@@ -312,13 +294,11 @@ class SimulatedFheBackend:
                 raise AbacError(f"ciphertext belongs to backend {ct.backend_tag!r}, not {self.tag!r}")
             if len(payload) < NONCE_BYTES:
                 raise AbacError(f"ciphertext payload of {len(payload)} bytes is shorter than a nonce")
+            if len(payload) != NONCE_BYTES + width:
+                raise AbacError(f"ciphertext body of {len(payload) - NONCE_BYTES} bytes is not {width} bytes wide")
             nonces.append(payload[:NONCE_BYTES])
             bodies.append(payload[NONCE_BYTES:])
-        plains = self._mask(nonces, bodies)
-        opened = self._opened.setdefault(parse, {})
-        for plain in set(plains).difference(opened):
-            opened[plain] = parse(plain)
-        return [opened[plain] for plain in plains]
+        return b"".join(self._mask(nonces, bodies))
 
     def _schema_bounds(self, columns: tuple) -> tuple:
         bounds = self._bounds.get(columns)
@@ -339,35 +319,20 @@ class SimulatedFheBackend:
             i, j = np.argwhere(outside)[0]
             raise AbacError(f"attribute {columns[j]!r}={matrix[i, j]} outside declared range [{lows[j]}, {highs[j]}]")
 
-    def _row_parser(self, columns: tuple):
-        """The parser of an attribute plaintext into its ``columns`` as int64 bytes, one per column tuple."""
-        parse = self._row_parsers.get(columns)
-        if parse is None:
-
-            def parse(plain: bytes) -> bytes:
-                values = _json_object(plain)
-                for name in columns:
-                    if name not in values:
-                        raise AbacError(f"ciphertext lacks attribute {name!r}")
-                    value = values[name]
-                    if type(value) is not int or not _INT_MIN <= value <= _INT_MAX:
-                        raise AbacError(f"attribute {name!r}={value!r} is not a 64-bit integer")
-                return np.array([values[name] for name in columns], dtype=np.int64).tobytes()
-
-            self._row_parsers[columns] = parse
-        return parse
-
     def eval_rows(self, predicate, columns: tuple, cts: list, nonces: list) -> list[Ciphertext]:
-        """Open every attribute ciphertext, decide all rows with one call of the
-        compiled ``predicate`` and seal decision i under ``nonces[i]``."""
-        rows = self._open(cts, self._row_parser(columns))
+        """Open every attribute ciphertext as a row of ``columns`` slots, decide all rows
+        with one call of the compiled ``predicate`` and seal decision i under ``nonces[i]``."""
         # the reshape keeps an empty batch two-dimensional for the predicate
-        matrix = np.frombuffer(b"".join(rows), dtype=np.int64).reshape(len(rows), len(columns))
-        return self.seal(nonces, [_DECISION_JSON[d] for d in predicate(matrix).tolist()])
+        matrix = np.frombuffer(self._open(cts, 8 * len(columns)), dtype="<i8").reshape(len(cts), len(columns))
+        decisions = predicate(matrix).tobytes()
+        return self.seal(nonces, [decisions[i : i + 1] for i in range(len(decisions))])
 
-    def decrypt_decisions(self, cts: list) -> list[bool]:
-        """The decision each ciphertext holds; AbacError unless it opens to ``{"decision": 0 or 1}``."""
-        return self._open(cts, _decision)
+    def decrypt_decisions(self, cts: list) -> np.ndarray:
+        """The decision each ciphertext holds, as bools; AbacError unless each opens to one byte, 0 or 1."""
+        decisions = np.frombuffer(self._open(cts, 1), dtype=np.uint8)
+        if (decisions > 1).any():
+            raise AbacError("ciphertext does not hold a decision")
+        return decisions == 1
 
 
 # --- the gate used by the simulation ----------------------------------------
@@ -381,11 +346,11 @@ class PolicyGate:
     attributes.  Both modes build one integer attribute matrix per step
     (one row per node) and decide it with the policy compiled once.
     ``mode="plain"`` runs the predicate on the matrix directly;
-    ``mode="encrypted"`` seals each node's row in its own ciphertext under
-    its own nonce, and the backend opens them all, decides every row in
-    one pass and seals each decision for the gate to open; each of the
-    three stages is one batched call.  Node i's attributes are sealed
-    under nonce 2i and its decision under nonce 2i + 1, the order a
+    ``mode="encrypted"`` has the backend seal each node's row as int64
+    slots in its own ciphertext under its own nonce, open them all, decide
+    every row in one pass and seal each decision, then open the decisions;
+    each of the three stages is one batched call.  Node i's attributes are
+    sealed under nonce 2i and its decision under nonce 2i + 1, the order a
     node-by-node seal, open, decide, seal loop draws them in; the tests
     hold the batch to such a loop.  The two modes are parity-tested and
     produce identical decisions; plain is the default because it skips the
@@ -403,15 +368,6 @@ class PolicyGate:
         self._row = np.array(list(NODE_ATTRIBUTES.values()), dtype=np.int64)
         # rebuilt only when the node count changes; each step rewrites the trust column
         self._matrix = np.tile(self._row, (0, 1))
-        # quantized trust -> the JSON a node with that trust presents (at most 101 entries)
-        self._encoded: dict[int, bytes] = {}
-
-    def _encode(self, trust: int) -> bytes:
-        encoded = self._encoded.get(trust)
-        if encoded is None:
-            values = {**NODE_ATTRIBUTES, "trust": trust}
-            encoded = self._encoded[trust] = json.dumps(values, sort_keys=True).encode("utf-8")
-        return encoded
 
     def accepted(self, trusts) -> np.ndarray:
         """Indices of nodes whose access decision is accept, ascending."""
@@ -426,6 +382,6 @@ class PolicyGate:
         backend.check_rows(self._columns, matrix)
         # node i seals its attributes under nonce 2i and its decision under nonce 2i + 1
         nonces = backend.draw_nonces(2 * len(matrix))
-        cts = backend.seal(nonces[0::2], [self._encode(q) for q in matrix[:, 0].tolist()])
+        cts = backend.seal_rows(nonces[0::2], matrix)
         decisions = backend.eval_rows(self._predicate, self._columns, cts, nonces[1::2])
-        return np.array(backend.decrypt_decisions(decisions), dtype=bool).nonzero()[0]
+        return backend.decrypt_decisions(decisions).nonzero()[0]

@@ -155,14 +155,18 @@ def apply_setting(cfg: ExperimentConfig, section: str, key: str, raw: str) -> Ex
 def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
     cfg = base if base is not None else ExperimentConfig()
     parser = configparser.ConfigParser()
-    read = parser.read(path)
-    if not read:
-        raise ConfigError(f"cannot read config file {path}")
-    for section in parser.sections():
-        if section not in _SECTION_TARGETS:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key, raw in parser.items(section):
-            cfg = apply_setting(cfg, section, key, raw)
+    try:
+        if not parser.read(path, encoding="utf-8"):
+            raise ConfigError(f"cannot read config file {path}")
+        for section in parser.sections():
+            if section not in _SECTION_TARGETS:
+                raise ConfigError(f"unknown config section [{section}]")
+            # interpolation runs as each value is read, so a bare % raises here
+            for key, raw in parser.items(section):
+                cfg = apply_setting(cfg, section, key, raw)
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser spreads its messages over several lines
+        raise ConfigError(f"config file {path}: {' '.join(str(exc).split())}") from None
     return cfg
 
 

@@ -37,6 +37,16 @@ def write_csv(path, columns, rows) -> None:
             fh.write(",".join(_format_value(v) for v in row) + "\n")
 
 
+def make_out_dir(path) -> Path:
+    """The output directory at ``path``, made if missing; a ConfigError if it cannot be."""
+    out = Path(path)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # FileExistsError when a file has the name
+        raise ConfigError(f"cannot make output directory {out}: {exc}") from None
+    return out
+
+
 def make_gate(cfg: ExperimentConfig) -> PolicyGate:
     """The access gate ``cfg`` names.  A policy file that cannot be read or decoded, that does not
     parse, or that names an attribute the nodes lack, is a ConfigError."""
@@ -88,9 +98,8 @@ def simulate(cfg: ExperimentConfig):
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = True):
     """Execute one configured run and write all artifacts to cfg.out."""
-    out = Path(cfg.out)
     make_gate(cfg)  # a bad policy stops the run before its directory is made
-    out.mkdir(parents=True, exist_ok=True)
+    out = make_out_dir(cfg.out)
 
     records, env, agent, warning = simulate(cfg)
     if warning and not quiet:
@@ -178,10 +187,9 @@ def run_matrix(
         raise ConfigError(f"matrix workers must be >= 1, got {workers}")
     make_gate(base_cfg)  # every cell shares the policy; a bad one stops the matrix here
 
-    out = Path(base_cfg.out)
+    out = make_out_dir(base_cfg.out)
     if not quiet:
         print(f"matrix: {len(agents)} agents x {len(attacks)} attacks x {len(seeds)} seeds -> {base_cfg.out}")
-    out.mkdir(parents=True, exist_ok=True)
     jobs = [
         replace(base_cfg, agent=agent, attack=attack, seed=seed, out=str(out / f"{agent}_{attack}_seed{seed}"))
         for attack in attacks

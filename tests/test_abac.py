@@ -1,5 +1,4 @@
 import hashlib
-import json
 
 import numpy as np
 import pytest
@@ -31,21 +30,28 @@ def backend():
 ATTRS = {"trust": 50, "role": 2, "clearance": 3, "permissions": 7}
 
 
-def seal_json(backend, obj) -> list:
-    """``obj`` as sorted-key JSON, sealed under one fresh nonce."""
-    return backend.seal(backend.draw_nonces(1), [json.dumps(obj, sort_keys=True).encode("utf-8")])
+def seal_row(backend, attrs: dict) -> list:
+    """The values of ``attrs`` as one row of int64 slots, sealed under one fresh nonce."""
+    return backend.seal_rows(backend.draw_nonces(1), np.array([list(attrs.values())], dtype=np.int64))
+
+
+def open_row(backend, ct, columns: tuple) -> dict:
+    """The attribute row ``ct`` holds, by column name."""
+    return dict(zip(columns, np.frombuffer(backend._open([ct], 8 * len(columns)), dtype="<i8").tolist()))
 
 
 def encrypted_decision(backend, policy, attrs: dict) -> bool:
     """``attrs`` sealed, decided by the backend with the compiled policy, and the decision opened."""
     columns = tuple(attrs)
-    cts = seal_json(backend, attrs)
+    cts = seal_row(backend, attrs)
     decisions = backend.eval_rows(compile_policy(policy, columns), columns, cts, backend.draw_nonces(1))
-    return backend.decrypt_decisions(decisions)[0]
+    return bool(backend.decrypt_decisions(decisions)[0])
 
 
 def test_encrypt_decrypt_round_trip(backend):
-    assert backend._open(seal_json(backend, ATTRS)) == [ATTRS]
+    [ct] = seal_row(backend, ATTRS)
+    assert len(ct.payload) == 16 + 8 * len(ATTRS)
+    assert open_row(backend, ct, tuple(ATTRS)) == ATTRS
 
 
 def test_encrypt_out_of_range_rejected(backend):
@@ -55,7 +61,7 @@ def test_encrypt_out_of_range_rejected(backend):
 
 
 def test_blinded_payloads_differ(backend):
-    payloads = {seal_json(backend, ATTRS)[0].payload for _ in range(8)}
+    payloads = {seal_row(backend, ATTRS)[0].payload for _ in range(8)}
     assert len(payloads) == 8
 
 
@@ -73,10 +79,10 @@ def test_eval_unknown_attribute_errors(backend):
     policy = parse_policy("missing >= 1")
     with pytest.raises(AbacError):
         encrypted_decision(backend, policy, ATTRS)
-    # a ciphertext lacking a column the compiled policy reads is refused too
+    # a ciphertext whose slots are not the columns the compiled policy reads is refused too
     columns = ("missing",)
-    with pytest.raises(AbacError, match="lacks attribute 'missing'"):
-        backend.eval_rows(compile_policy(policy, columns), columns, seal_json(backend, ATTRS), backend.draw_nonces(1))
+    with pytest.raises(AbacError, match="body of 32 bytes is not 8 bytes wide"):
+        backend.eval_rows(compile_policy(policy, columns), columns, seal_row(backend, ATTRS), backend.draw_nonces(1))
 
 
 def test_plain_eval_boolean_combinators():
@@ -182,10 +188,10 @@ def test_gate_role_requirement():
 
 def test_ciphertext_backend_tag_enforced(backend):
     other = SimulatedFheBackend(seed=9)
-    [ct] = seal_json(backend, ATTRS)
+    [ct] = seal_row(backend, ATTRS)
     ct_other = type(ct)("other-backend", ct.payload)
     with pytest.raises(AbacError):
-        other._open([ct_other])
+        other._open([ct_other], 8 * len(ATTRS))
 
 
 def per_byte_mask(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -239,13 +245,14 @@ def per_node_pipeline(policy, backend: SimulatedFheBackend, trusts):
     """Reference for the encrypted gate, node by node: seal the node's attributes under a fresh
     nonce, open them, decide with ``eval_policy_plain`` and seal the decision under the next nonce.
     Returns the attribute ciphertexts, the decision ciphertexts and the accepted nodes."""
+    columns = tuple(NODE_ATTRIBUTES)
     attributes, decisions, accepted = [], [], []
     for node, tau in enumerate(trusts):
         attrs = {**NODE_ATTRIBUTES, "trust": max(0, min(100, int(np.floor(float(tau) * 100.0))))}
-        attributes += seal_json(backend, attrs)
-        decision = eval_policy_plain(policy, backend._open(attributes[-1:])[0])
-        decisions += seal_json(backend, {"decision": int(decision)})
-        if backend._open(decisions[-1:])[0]["decision"]:
+        attributes += seal_row(backend, attrs)
+        decision = eval_policy_plain(policy, open_row(backend, attributes[-1], columns))
+        decisions += backend.seal(backend.draw_nonces(1), [bytes([decision])])
+        if backend._open(decisions[-1:], 1) == b"\x01":
             accepted.append(node)
     return attributes, decisions, np.array(accepted, dtype=np.int64)
 
@@ -309,20 +316,13 @@ def test_batched_encrypted_gate_enforces_schema():
     assert backend._rng.bit_generator.state == state
 
 
-NOT_OBJECTS = (b"", b"\xff\xfe", b"not json", b"[1, 2]", b"7", b'"decision"', b"null")
-
-
-@pytest.mark.parametrize("plain", NOT_OBJECTS)
-def test_payload_that_is_not_a_json_object_is_refused(backend, plain):
-    cts = backend.seal(backend.draw_nonces(1), [plain])
+@pytest.mark.parametrize("width", [0, 31, 33])
+def test_eval_rows_refuses_a_row_of_the_wrong_width(backend, width):
     columns = tuple(NODE_ATTRIBUTES)
+    cts = backend.seal(backend.draw_nonces(1), [bytes(width)])
     predicate = compile_policy(parse_policy(DEFAULT_POLICY_TEXT), columns)
-    with pytest.raises(AbacError, match="does not open to a JSON object"):
-        backend._open(cts)
-    with pytest.raises(AbacError, match="does not open to a JSON object"):
+    with pytest.raises(AbacError, match=f"body of {width} bytes is not 32 bytes wide"):
         backend.eval_rows(predicate, columns, cts, backend.draw_nonces(1))
-    with pytest.raises(AbacError, match="does not open to a JSON object"):
-        backend.decrypt_decisions(cts)
 
 
 def test_payload_shorter_than_a_nonce_is_refused(backend):
@@ -332,42 +332,19 @@ def test_payload_shorter_than_a_nonce_is_refused(backend):
 
 
 @pytest.mark.parametrize(
-    "obj",
-    [{"decision": "yes"}, {"decision": 2}, {"decision": -1}, {"decision": True}, {"decision": 1.0},
-     {"decision": None}, {"decision": 1, "extra": 0}, {"verdict": 1}, {}],
+    "body, error",
+    [(b"", "body of 0 bytes"), (b"\x02", "does not hold a decision"), (b"\xff", "does not hold a decision"),
+     (b"\x00\x00", "body of 2 bytes")],
+    ids=["empty", "two", "all-bits", "two-bytes"],
 )
-def test_decrypt_decisions_accepts_only_zero_or_one(backend, obj):
-    with pytest.raises(AbacError, match="does not hold a decision"):
-        backend.decrypt_decisions(seal_json(backend, obj))
-
-
-@pytest.mark.parametrize("value", ["45", 45.0, True, None, [45], 2**63])
-def test_eval_rows_refuses_an_attribute_that_is_not_an_int64(backend, value):
-    columns = tuple(NODE_ATTRIBUTES)
-    cts = seal_json(backend, {**NODE_ATTRIBUTES, "trust": value})
-    predicate = compile_policy(parse_policy(DEFAULT_POLICY_TEXT), columns)
-    with pytest.raises(AbacError, match="'trust'=.* is not a 64-bit integer"):
-        backend.eval_rows(predicate, columns, cts, backend.draw_nonces(1))
-
-
-def test_each_distinct_plaintext_is_parsed_once(backend):
-    parsed = []
-
-    def parse(plain: bytes) -> int:
-        parsed.append(plain)
-        return len(plain)
-
-    plains = [b"aa", b"bbb", b"aa", b"aa"]
-    cts = backend.seal(backend.draw_nonces(len(plains)), plains)
-    assert len({ct.payload for ct in cts}) == len(plains)
-    assert backend._open(cts, parse) == [2, 3, 2, 2]
-    assert backend._open(cts[:1], parse) == [2]
-    assert sorted(parsed) == [b"aa", b"bbb"]
-    # a plaintext that fails its check fails every time it is opened
-    bad = seal_json(backend, {"decision": 5})
-    for _ in range(2):
-        with pytest.raises(AbacError):
-            backend.decrypt_decisions(bad)
+def test_decrypt_decisions_accepts_only_zero_or_one(backend, body, error):
+    with pytest.raises(AbacError, match=error):
+        backend.decrypt_decisions(backend.seal(backend.draw_nonces(1), [body]))
+    # a refused body among good ones refuses the batch
+    good = backend.seal(backend.draw_nonces(2), [b"\x00", b"\x01"])
+    assert backend.decrypt_decisions(good).tolist() == [False, True]
+    with pytest.raises(AbacError, match=error):
+        backend.decrypt_decisions(good + backend.seal(backend.draw_nonces(1), [body]))
 
 
 def test_schema_bounds_are_read_per_column_tuple():

@@ -299,6 +299,12 @@ def test_cli_rejects_bad_agent(capsys):
         ["--set", "experiment.policy_file={tmp}/binary.policy"],
         ["--matrix", "--agent", "rl", "--attack", "nma", "--seeds", "42",
          "--set", "experiment.policy_file={tmp}/tier.policy"],
+        ["--config", "{tmp}/no-section.cfg"],
+        ["--config", "{tmp}/no-equals.cfg"],
+        ["--config", "{tmp}/repeated-section.cfg"],
+        ["--config", "{tmp}/repeated-key.cfg"],
+        ["--config", "{tmp}/bare-percent.cfg"],
+        ["--config", "{tmp}/not-utf8.cfg"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -341,12 +347,24 @@ def test_cli_rejects_bad_agent(capsys):
         "policy-attribute-nodes-lack",
         "policy-not-utf8",
         "matrix-policy-attribute-nodes-lack",
+        "config-without-section-header",
+        "config-line-without-equals",
+        "config-repeated-section",
+        "config-repeated-key",
+        "config-bare-percent",
+        "config-not-utf8",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     (tmp_path / "syntax.policy").write_text("trust >>> 4\n")
     (tmp_path / "tier.policy").write_text("(trust >= 45) & (tier == 1)\n")
     (tmp_path / "binary.policy").write_bytes(b"\xfftrust >= 45\n")
+    (tmp_path / "no-section.cfg").write_text("seed = 3\n")
+    (tmp_path / "no-equals.cfg").write_text("[experiment]\nseed 3\n")
+    (tmp_path / "repeated-section.cfg").write_text("[experiment]\nseed = 3\n[experiment]\nsteps = 5\n")
+    (tmp_path / "repeated-key.cfg").write_text("[experiment]\nseed = 3\nseed = 4\n")
+    (tmp_path / "bare-percent.cfg").write_text("[experiment]\nout = runs/100%\n")
+    (tmp_path / "not-utf8.cfg").write_bytes(b"[experiment]\nout = \xff\n")
     argv = [arg.format(tmp=tmp_path) for arg in argv]
     assert main(argv + ["--episodes", "1", "--steps", "5", "--out", str(tmp_path / "o")]) == 2
     captured = capsys.readouterr()
@@ -355,6 +373,19 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert "matrix:" not in captured.out
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("matrix", [False, True], ids=["single", "matrix"])
+def test_cli_out_naming_a_file_exits_2(matrix, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("keep\n")
+    argv = ["--agent", "rl", "--attack", "nma", "--episodes", "1", "--steps", "5", "--out", str(taken)]
+    assert main(argv + (["--matrix", "--seeds", "42"] if matrix else [])) == 2
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config error: cannot make output directory")
+    assert "matrix:" not in captured.out
+    assert taken.read_text() == "keep\n"
 
 
 @pytest.mark.parametrize(

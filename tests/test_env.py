@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from trustsim.config import ConfigError, ExperimentConfig
+from trustsim.agents import AGENT_KINDS
+from trustsim.attacks import AttackConfig
+from trustsim.config import ATTACKS, ConfigError, ExperimentConfig
 from trustsim.env import (
     ACTION_MULTIPLIERS,
     HIGH_TRUST_CUTOFF,
@@ -218,3 +220,23 @@ def test_single_role_population_runs_to_completion(attack, ratio):
     assert len(records) == 2
     assert int(env.net.malicious_mask.sum()) == (16 if ratio == 1.0 else 0)
     assert all(r.trust_separation == 0.0 for r in records)
+
+
+# every agent against every attack on the plain gate, and the MARL sleeper run behind the encrypted gate
+TWO_NODE_RUNS = [(agent, attack, "plain") for agent in AGENT_KINDS for attack in ATTACKS] + [("marl", "tdp", "encrypted")]
+
+
+@pytest.mark.parametrize("ratio", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("agent, attack, gate_mode", TWO_NODE_RUNS)
+def test_two_node_population_runs_with_defined_metrics(agent, attack, gate_mode, ratio):
+    # the sleepers wake in the second episode, so both phases run
+    cfg = ExperimentConfig(agent=agent, attack=attack, episodes=2, steps=20, seed=3, n_nodes=2,
+                           malicious_ratio=ratio, gate_mode=gate_mode, allow_short_tdp=True,
+                           attack_cfg=AttackConfig(tdp_activation_episode=2))
+    records, env, *_ = simulate(cfg)
+    assert len(records) == 2
+    for r in records:
+        assert 0.0 <= r.f1 <= 1.0 and 0.0 <= r.precision <= 1.0 and 0.0 <= r.recall <= 1.0
+        assert r.confusion.total == 2
+    masses = np.concatenate([env.net.alphas, env.net.betas])
+    assert np.isfinite(masses).all() and (masses > 0.0).all()
