@@ -332,12 +332,21 @@ def test_payload_shorter_than_a_nonce_is_refused(backend):
 
 
 @pytest.mark.parametrize(
-    "body, error",
-    [(b"", "body of 0 bytes"), (b"\x02", "does not hold a decision"), (b"\xff", "does not hold a decision"),
-     (b"\x00\x00", "body of 2 bytes")],
-    ids=["empty", "two", "all-bits", "two-bytes"],
+    "obj",
+    [
+        (b"1", "does not hold a decision"),  # the text "1", not the byte 1
+        (b"\x02", "does not hold a decision"),
+        (b"\xff", "does not hold a decision"),  # -1 as a byte
+        (b"\x80", "does not hold a decision"),  # sign bit alone
+        (np.float64(1.0).tobytes(), "body of 8 bytes"),
+        (b"", "body of 0 bytes"),
+        (b"\x01\x00", "body of 2 bytes"),  # a decision with a trailing byte
+        (bytes(32), "body of 32 bytes"),  # an attribute row, not a decision
+        (np.int64(1).tobytes(), "body of 8 bytes"),  # a full int64 slot
+    ],
 )
-def test_decrypt_decisions_accepts_only_zero_or_one(backend, body, error):
+def test_decrypt_decisions_accepts_only_zero_or_one(backend, obj):
+    body, error = obj
     with pytest.raises(AbacError, match=error):
         backend.decrypt_decisions(backend.seal(backend.draw_nonces(1), [body]))
     # a refused body among good ones refuses the batch
