@@ -55,6 +55,8 @@ class AgentHyperparams:
             raise ValueError("hidden_sizes and head_hidden must be >= 1")
         if not (self.learning_rate > 0.0 and self.tabular_learning_rate > 0.0):
             raise ValueError("learning_rate and tabular_learning_rate must be > 0")
+        if not (self.td_clip > 0.0 and self.reward_scale > 0.0):
+            raise ValueError("td_clip and reward_scale must be > 0")
 
     def episode_eps_decay(self, episodes: int) -> float:
         """Factor so epsilon reaches eps_min at 80% of the episode budget."""

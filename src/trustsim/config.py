@@ -60,6 +60,8 @@ class ExperimentConfig:
             raise ConfigError(f"gate_mode must be one of {GATE_MODES}, got {self.gate_mode!r}")
         if self.steps < 1:
             raise ConfigError("steps must be >= 1")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.n_nodes < 2:
             raise ConfigError(f"n_nodes must be >= 2, got {self.n_nodes}")
         if not (0.0 <= self.malicious_ratio <= 1.0):

@@ -89,6 +89,8 @@ class RewardConfig:
     def __post_init__(self):
         if min(self.w_f1, self.w_step, self.w_fn) < 0:
             raise ValueError("reward weights must be nonnegative")
+        if self.collusion_cap < 0:
+            raise ValueError(f"collusion_cap must be >= 0, got {self.collusion_cap}")
         if self.kappa_max <= 0:
             raise ValueError(f"kappa_max must be > 0, got {self.kappa_max}")
 
@@ -135,16 +137,17 @@ def _linear_quantile(ordered: list, q: float) -> float:
 
 def extract_state(
     net: NetworkState,
-    history: "History",
+    blocks,
     kappa_max: float = 10.0,
     corruption: tuple | None = None,
     steps_per_episode: int = 100,
-    batch_size: int = 10,
 ) -> np.ndarray:
     """Build the 16-feature observation from the current network view.
 
-    ``corruption`` is an eclipse's ``(node, value)``: the observation shows
-    ``value`` as that node's trust; the network keeps the true one.
+    ``blocks`` is the recent window of block flags.  ``corruption`` is an
+    eclipse's ``(node, value)``: the observation shows ``value`` as that
+    node's trust; the network keeps the true one.  Every block verifies one
+    full batch, so the transaction features equal the block features.
     """
     true_taus = net.trust_scores()
     taus = true_taus
@@ -172,8 +175,6 @@ def extract_state(
     iqr = _linear_quantile(ordered, 0.75) - _linear_quantile(ordered, 0.25)
     cv = math.sqrt(var) / mean if mean > 0.0 else 0.0
 
-    tx_cap = float(steps_per_episode * batch_size)
-    verified_norm = min(max(net.verified_tx_total / tx_cap, 0.0), 1.0) if tx_cap else 0.0
     chain_norm = min(max(net.chain_length / steps_per_episode, 0.0), 1.0)
 
     hm_ratio = len(net.honest) / max(1, len(net.malicious))
@@ -185,9 +186,7 @@ def extract_state(
     # the controlled variable (k/N under the current ratio)
     deleg_eff = committee_size(net.delegation_ratio, net.n) / net.n
 
-    window = max(1, len(history.blocks))
-    throughput_rate = float(sum(history.verified) / (window * batch_size)) if history.verified else 0.0
-    block_rate = float(sum(history.blocks) / window) if history.blocks else 0.0
+    block_rate = sum(blocks) / len(blocks) if blocks else 0.0
 
     kappa = network_kappa(net, true_taus, kappa_max)
 
@@ -200,13 +199,13 @@ def extract_state(
             spread,
             iqr,
             cv,
-            verified_norm,
+            chain_norm,
             chain_norm,
             hm_ratio,
             low_frac,
             high_frac,
             deleg_eff,
-            throughput_rate,
+            block_rate,
             block_rate,
             kappa,
         ]
@@ -214,18 +213,6 @@ def extract_state(
     if not np.isfinite(state).all():
         raise FloatingPointError(f"non-finite state features: {state}")
     return state
-
-
-class History:
-    """Sliding operational window feeding the rate features."""
-
-    def __init__(self, window: int = HISTORY_WINDOW):
-        self.blocks: deque = deque(maxlen=window)
-        self.verified: deque = deque(maxlen=window)
-
-    def push(self, block_created: bool, verified: int) -> None:
-        self.blocks.append(1 if block_created else 0)
-        self.verified.append(verified)
 
 
 @dataclass
@@ -272,26 +259,25 @@ class Environment:
         self.rng_consensus = rng_consensus
         self.rng_attack = rng_attack
         self.evidence_log = evidence_log
-        self.history = History()
+        self.blocks: deque = deque(maxlen=HISTORY_WINDOW)
         self.pending_corruption: tuple | None = None
         self.kappas: list[float] = []
-        self.rewards: list[float] = []
+        self.reward_total = 0.0
 
     def begin_episode(self, episode_index: int) -> None:
         self.net.episode_index = episode_index
-        self.history = History()
+        self.blocks.clear()
         self.pending_corruption = None
         self.kappas = []
-        self.rewards = []
+        self.reward_total = 0.0
 
     def observe(self) -> np.ndarray:
         return extract_state(
             self.net,
-            self.history,
+            self.blocks,
             kappa_max=self.reward_cfg.kappa_max,
             corruption=self.pending_corruption,
             steps_per_episode=self.steps,
-            batch_size=self.cfg.batch_size,
         )
 
     def step(self, action: Action) -> float:
@@ -312,7 +298,6 @@ class Environment:
                 self.update_cfg,
                 posing=self.attack.posing_voters(net) if self.attack else None,
                 detect_p=self.cfg.detect_p,
-                batch_size=self.cfg.batch_size,
                 evidence_log=self.evidence_log,
             )
 
@@ -321,19 +306,18 @@ class Environment:
             apply_perturbations(net, perts, accepted=set(accepted.tolist()), evidence_log=self.evidence_log)
 
         block = outcome.block_created if outcome else False
-        verified = outcome.verified_tx if outcome else 0
-        self.history.push(block, verified)
+        self.blocks.append(block)
 
         true_taus = net.trust_scores()
         cm = metrics.classify(true_taus, net.malicious_mask, self.cfg.theta)
         kappa = network_kappa(net, true_taus, self.reward_cfg.kappa_max)
-        r_step = 10.0 * (verified / self.cfg.batch_size) + 50.0 * (1.0 if block else 0.0)
+        r_step = 60.0 if block else 0.0
         reward = compute_reward(cm, r_step, kappa, self.reward_cfg)
         if not math.isfinite(reward):
             raise SimulationError(f"non-finite reward at step {net.step_index}: {reward}")
 
         self.kappas.append(kappa)
-        self.rewards.append(reward)
+        self.reward_total += reward  # a left fold: the same bytes on every Python version
         net.step_index += 1
         return reward
 
@@ -360,12 +344,12 @@ def run_episode(env: Environment, agent, episode_index: int) -> metrics.EpisodeR
     cm = metrics.classify(net.trust_scores(), net.malicious_mask, env.cfg.theta)
     return metrics.EpisodeRecord(
         episode=episode_index,
-        cumulative_reward=float(sum(env.rewards)),
+        cumulative_reward=env.reward_total,
         confusion=cm,
         f1=metrics.f1(cm),
         precision=metrics.precision(cm),
         recall=metrics.recall(cm),
-        throughput=net.verified_tx_total,
+        throughput=net.chain_length * env.cfg.batch_size,
         chain_length=net.chain_length,
         mean_kappa=float(np.mean(env.kappas)) if env.kappas else 0.0,
         trust_separation=trust_separation(net),

@@ -39,7 +39,6 @@ class NetworkState:
     malicious_mask: np.ndarray
     delegation_ratio: float = 0.5
     chain_length: int = 0
-    verified_tx_total: int = 0
     step_index: int = 0
     episode_index: int = 0
     honest: np.ndarray = field(init=False, repr=False)
@@ -66,7 +65,6 @@ class NetworkState:
 @dataclass
 class RoundOutcome:
     block_created: bool
-    verified_tx: int
 
 
 PRIOR_ALPHA = 8.0
@@ -105,7 +103,6 @@ def reset_profiles(state: NetworkState, rng: np.random.Generator) -> None:
     """
     state.alphas, state.betas = draw_profiles(state.n, rng)
     state.chain_length = 0
-    state.verified_tx_total = 0
     state.step_index = 0
 
 
@@ -121,7 +118,6 @@ def run_consensus_round(
     update_cfg: TrustUpdateConfig,
     posing: np.ndarray | None = None,
     detect_p: float = 0.5,
-    batch_size: int = 10,
     evidence_log=None,
 ) -> RoundOutcome:
     """Run one voting round over the current transaction batch and apply evidence.
@@ -144,7 +140,6 @@ def run_consensus_round(
         valid[posing] = True
     valid = valid[delegates]
     block = int(np.count_nonzero(valid)) >= quorum(len(delegates))
-    verified = batch_size if block else 0
 
     if block:
         state.alphas[delegates[valid]] += update_cfg.delta_valid
@@ -163,8 +158,7 @@ def run_consensus_round(
 
     if block:
         state.chain_length += 1
-        state.verified_tx_total += verified
-    return RoundOutcome(block_created=block, verified_tx=verified)
+    return RoundOutcome(block_created=block)
 
 
 def trust_separation(state: NetworkState) -> float:

@@ -183,6 +183,8 @@ def run_matrix(
     for what, items in (("agent", agents), ("attack", attacks), ("seed", seeds)):
         if len(set(items)) < len(items):
             raise ConfigError(f"matrix {what} list repeats an entry: {items}")
+    if min(seeds) < 0:
+        raise ConfigError(f"matrix seeds must be >= 0, got {seeds}")
     if workers < 1:
         raise ConfigError(f"matrix workers must be >= 1, got {workers}")
     make_gate(base_cfg)  # every cell shares the policy; a bad one stops the matrix here
@@ -205,18 +207,11 @@ def run_matrix(
         if not quiet:
             print(f"  {agent} vs {attack} seed {seed}: tail-10 mean F1 = {f1_value:.3f}")
 
-    if workers > 1:
-        with spawn_pool(workers) as pool:
-            futures = {pool.submit(_matrix_cell, job): job for job in jobs}
-            for fut, job in futures.items():
-                try:
-                    record(*fut.result())
-                except Exception:
-                    failures.append((job.agent, job.attack, job.seed, traceback.format_exc()))
-    else:
-        for job in jobs:
+    with spawn_pool(workers) if workers > 1 else contextlib.nullcontext() as pool:
+        futures = [pool.submit(_matrix_cell, job) if pool else None for job in jobs]
+        for job, fut in zip(jobs, futures):
             try:
-                record(*_matrix_cell(job))
+                record(*(fut.result() if fut else _matrix_cell(job)))
             except Exception:
                 failures.append((job.agent, job.attack, job.seed, traceback.format_exc()))
 

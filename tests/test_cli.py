@@ -305,6 +305,11 @@ def test_cli_rejects_bad_agent(capsys):
         ["--config", "{tmp}/repeated-key.cfg"],
         ["--config", "{tmp}/bare-percent.cfg"],
         ["--config", "{tmp}/not-utf8.cfg"],
+        ["--seed", "-1"],
+        ["--matrix", "--agent", "rl", "--attack", "nma", "--seeds", "42,-1"],
+        ["--set", "agent_hyperparams.td_clip=0"],
+        ["--set", "agent_hyperparams.reward_scale=-1"],
+        ["--set", "reward.collusion_cap=-5"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -353,6 +358,11 @@ def test_cli_rejects_bad_agent(capsys):
         "config-repeated-key",
         "config-bare-percent",
         "config-not-utf8",
+        "negative-seed",
+        "matrix-negative-seed",
+        "zero-td-clip",
+        "negative-reward-scale",
+        "negative-collusion-cap",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):

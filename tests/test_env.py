@@ -1,3 +1,6 @@
+import functools
+import operator
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +15,7 @@ from trustsim.env import (
     LOW_TRUST_CUTOFF,
     Action,
     FEATURE_INDEX,
-    History,
+    Environment,
     RewardConfig,
     apply_action,
     collusion_score,
@@ -35,7 +38,7 @@ def degenerate_net(tau=0.5):
 
 
 def test_state_degenerate_distribution():
-    s = extract_state(degenerate_net(), History())
+    s = extract_state(degenerate_net(), ())
     for name in ("variance", "skewness", "range", "iqr", "coeff_variation"):
         assert s[FEATURE_INDEX[name]] == 0.0
     assert s[FEATURE_INDEX["mean_trust"]] == pytest.approx(0.5)
@@ -53,7 +56,7 @@ def test_state_order_statistics_sanity():
     net = init_network(16, 0.30, rng)
     net.alphas = rng.uniform(1, 30, 16)
     net.betas = rng.uniform(1, 30, 16)
-    s = extract_state(net, History())
+    s = extract_state(net, ())
     taus = net.trust_scores()
     assert taus.min() <= s[FEATURE_INDEX["median"]] <= taus.max()
     assert s[FEATURE_INDEX["iqr"]] <= s[FEATURE_INDEX["range"]] + 1e-12
@@ -87,7 +90,7 @@ def test_state_order_statistics_match_numpy_bit_for_bit(n, seed, ties):
     betas[:tied] = betas[0]
     mask = np.arange(n) % 2 == 0
     net = NetworkState(alphas=alphas, betas=betas, malicious_mask=mask)
-    s = extract_state(net, History())
+    s = extract_state(net, ())
     taus = net.trust_scores()
 
     mean = float(np.mean(taus))
@@ -114,8 +117,8 @@ def test_state_order_statistics_match_numpy_bit_for_bit(n, seed, ties):
 
 def test_state_eclipse_corruption_changes_observation_only():
     net = degenerate_net()
-    clean = extract_state(net, History())
-    corrupted = extract_state(net, History(), corruption=(0, 0.95))
+    clean = extract_state(net, ())
+    corrupted = extract_state(net, (), corruption=(0, 0.95))
     assert corrupted[FEATURE_INDEX["range"]] > clean[FEATURE_INDEX["range"]]
     assert net.trust_scores()[0] == pytest.approx(0.5)  # actual trust untouched
 
@@ -123,9 +126,9 @@ def test_state_eclipse_corruption_changes_observation_only():
 def test_state_policy_feature_tracks_ratio():
     net = degenerate_net()
     net.delegation_ratio = 0.1
-    low = extract_state(net, History())[FEATURE_INDEX["delegation_efficiency"]]
+    low = extract_state(net, ())[FEATURE_INDEX["delegation_efficiency"]]
     net.delegation_ratio = 1.0
-    high = extract_state(net, History())[FEATURE_INDEX["delegation_efficiency"]]
+    high = extract_state(net, ())[FEATURE_INDEX["delegation_efficiency"]]
     assert low == pytest.approx(2 / 16)
     assert high == pytest.approx(1.0)
 
@@ -204,6 +207,44 @@ def test_run_episode_chain_bounded_by_steps():
     records, *_ = simulate(cfg)
     assert all(r.chain_length <= 60 for r in records)
     assert all(r.throughput <= 600 for r in records)
+    assert all(r.throughput == r.chain_length * cfg.env.batch_size for r in records)
+
+
+def record_results(monkeypatch, method: str) -> list:
+    """Wrap ``Environment.<method>`` so each call's result is appended to the returned list."""
+    results = []
+    original = getattr(Environment, method)
+
+    def wrapper(env, *args):
+        results.append(original(env, *args))
+        return results[-1]
+
+    monkeypatch.setattr(Environment, method, wrapper)
+    return results
+
+
+@pytest.mark.parametrize("attack", ATTACKS)
+def test_transaction_features_equal_block_features(attack, monkeypatch):
+    # every block verifies one full batch, so the two transaction features are the block features
+    states = record_results(monkeypatch, "observe")
+    simulate(ExperimentConfig(agent="rl", attack=attack, episodes=2, steps=30, seed=9, allow_short_tdp=True,
+                              attack_cfg=AttackConfig(tdp_activation_episode=2)))
+    assert len(states) == 2 * 31
+    for s in states:
+        assert s[FEATURE_INDEX["verified_tx_norm"]] == s[FEATURE_INDEX["chain_length_norm"]]
+        assert s[FEATURE_INDEX["throughput_rate"]] == s[FEATURE_INDEX["recent_block_rate"]]
+    assert any(s[FEATURE_INDEX["chain_length_norm"]] > 0.0 for s in states)
+
+
+@pytest.mark.parametrize("agent", AGENT_KINDS)
+def test_cumulative_reward_is_the_left_fold_of_step_rewards(agent, monkeypatch):
+    # sum() compensates float rounding from Python 3.12 on; the record must not depend on the version
+    rewards = record_results(monkeypatch, "step")
+    cfg = ExperimentConfig(agent=agent, attack="cra", episodes=3, steps=40, seed=11)
+    records, *_ = simulate(cfg)
+    assert len(rewards) == 3 * 40
+    for i, r in enumerate(records):
+        assert r.cumulative_reward == functools.reduce(operator.add, rewards[i * 40:(i + 1) * 40], 0.0)
 
 
 def test_config_rejects_nonpositive_steps():
