@@ -5,9 +5,8 @@ decrypt(decision), batched over all nodes of a step.  The default backend
 simulates encryption: plaintexts are fixed-width integer slots, blinded
 with a keyed stream so repeated encryptions of the same attributes differ,
 and evaluation runs the policy compiled to a vectorised predicate.  The
-tree-walking evaluator ``eval_policy_plain`` is kept public as the parity
-oracle; every policy and attribute set must produce the same decision on
-both paths.
+tests hold both gate modes to a tree-walking evaluator, node by node
+(``tests/reference.py``).
 
 Policy files use a small expression grammar, e.g.::
 
@@ -85,26 +84,13 @@ class Or:
 Policy = Leaf | And | Or
 
 
-def eval_policy_plain(policy: Policy, attrs: dict) -> bool:
-    """Standard boolean evaluation of the expression tree over ``{name: int}`` (parity oracle)."""
-    if isinstance(policy, Leaf):
-        if policy.attribute not in attrs:
-            raise AbacError(f"policy references unknown attribute {policy.attribute!r}")
-        return _OPS[policy.op](attrs[policy.attribute], policy.constant)
-    if isinstance(policy, And):
-        return all(eval_policy_plain(c, attrs) for c in policy.children)
-    if isinstance(policy, Or):
-        return any(eval_policy_plain(c, attrs) for c in policy.children)
-    raise TypeError(f"not a policy node: {policy!r}")
-
-
 def compile_policy(policy: Policy, columns: tuple):
     """The policy as one vectorised predicate over an integer attribute matrix.
 
     ``columns`` names the matrix columns; the returned function maps a
-    (nodes x columns) matrix to one bool per row, equal row by row to
-    ``eval_policy_plain``.  A leaf naming no column raises AbacError here,
-    before any node is evaluated.
+    (nodes x columns) matrix to one bool per row, equal row by row to the
+    tree walk ``eval_policy_plain`` in ``tests/reference.py``.  A leaf
+    naming no column raises AbacError here, before any node is evaluated.
     """
     if isinstance(policy, Leaf):
         if policy.attribute not in columns:

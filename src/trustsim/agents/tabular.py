@@ -55,17 +55,12 @@ def default_spec() -> DiscretizationSpec:
     return DiscretizationSpec(tuple(bins), tuple(lows), tuple(highs))
 
 
-def discretize_value(value: float, low: float, high: float, bins: int) -> int:
-    """floor(clamped_fraction * bins), with the top edge assigned to the last bin."""
-    frac = (value - low) / (high - low)
-    frac = min(max(frac, 0.0), 1.0)
-    return min(int(frac * bins), bins - 1)
-
-
 def discretize(state: np.ndarray, spec: DiscretizationSpec) -> bytes:
-    """``discretize_value`` per feature in one pass: the same IEEE steps, one byte each.
+    """One byte per feature: floor(clamped_fraction * bins), the top edge in the last bin.
 
-    Capping before the cast truncates to the same bin as capping after ``int``.
+    One array pass takes the IEEE steps of the scalar rule in
+    ``tests/reference.py``; capping before the cast truncates to the same
+    bin as capping after ``int``.
     """
     frac = (state - spec.low_values) / spec.spans
     np.maximum(frac, 0.0, out=frac)

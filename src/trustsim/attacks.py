@@ -100,8 +100,8 @@ class AttackConfig:
         if self.bfi_low_trust > self.bfi_high_trust:
             raise ValueError(f"bfi_low_trust {self.bfi_low_trust} exceeds bfi_high_trust {self.bfi_high_trust}")
         for name in ("nma_noise", "aaa_factor", "bfi_sybil_k", "bfi_endorsement_base", "bfi_strike_magnitude"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+            if not (0 <= getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
         if self.cra_period < 1 or self.bfi_window < 1 or self.aaa_burst_period < 1:
             raise ValueError("periods and windows must be >= 1")
 
@@ -154,7 +154,7 @@ def new_state(cfg: AttackConfig) -> AttackState:
 
 def _top_trust(net: NetworkState, indices: np.ndarray, count: int) -> list[int]:
     """The `count` highest-trust nodes among ascending `indices`; ties break on index."""
-    order = np.argsort(-net.trust_scores()[indices], kind="stable")[:count]
+    order = np.argsort(-net.trust_vector()[indices], kind="stable")[:count]
     return indices[order].tolist()
 
 
@@ -213,7 +213,7 @@ def _aaa_apply_strategy(cfg: AttackConfig, strategy: int, net: NetworkState, rng
     malicious = net.malicious
     honest = net.honest
     m = len(malicious)
-    taus = net.trust_scores()
+    taus = net.trust_vector()
     coalition_boost = (m - 1) * cfg.aaa_factor
     strike = m * cfg.aaa_factor
     perts: list[Perturbation] = []
@@ -252,7 +252,7 @@ def aaa_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
     malicious = net.malicious
     if len(malicious) == 0:
         return []
-    mean_now = float(net.trust_scores()[malicious].mean())
+    mean_now = float(net.trust_vector()[malicious].mean())
     if state.aaa_prev_strategy is not None:
         prev = state.aaa_prev_strategy
         state.aaa_scores[prev] = 0.8 * state.aaa_scores[prev] + 0.2 * (mean_now - state.aaa_prev_mean_trust)
@@ -277,7 +277,7 @@ def bfi_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
     honest = net.honest
     if len(byz) == 0:
         return []
-    taus = net.trust_scores()
+    taus = net.trust_vector()
 
     if state.bfi_eclipse_target is None and len(honest):
         state.bfi_eclipse_target = int(honest[rng.integers(len(honest))])
@@ -366,17 +366,17 @@ class Attack:
         return net.malicious if self.state.tdp_activated else None
 
 
-def apply_perturbations(net: NetworkState, perturbations, accepted=None, evidence_log=None) -> None:
+def apply_perturbations(net: NetworkState, perturbations, accepted: set, evidence_log=None) -> None:
     """Fold evidence-space perturbations into the trust profiles.
 
-    When an ``accepted`` set is given, each perturbation's magnitude scales
-    with the fraction of its emitters holding access: the gate refuses
-    feedback transactions from rejected nodes.  Emitter-less perturbations
-    (behavioral effects) always apply in full.
+    Each perturbation's magnitude scales with the fraction of its emitters
+    in the ``accepted`` set: the gate refuses feedback transactions from
+    rejected nodes.  Emitter-less perturbations (behavioral effects) always
+    apply in full.
     """
     for p in perturbations:
         magnitude = p.magnitude
-        if accepted is not None and p.emitters is not None:
+        if p.emitters is not None:
             live = sum(1 for e in p.emitters if e in accepted)
             if live == 0:
                 continue

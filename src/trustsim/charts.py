@@ -83,7 +83,7 @@ def render_line_chart(xs, ys, title: str, x_label: str, y_label: str) -> str:
 
 
 def emit_charts(records, out_dir) -> list[Path]:
-    """Reward and F1 per-episode charts plus the plotted series as CSV."""
+    """Reward and F1 per-episode charts; the plotted series are columns of episodes.csv."""
     if not records:
         raise ValueError("no records to chart")
     out = Path(out_dir)
@@ -101,11 +101,4 @@ def emit_charts(records, out_dir) -> list[Path]:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(render_line_chart(episodes, series, name.replace("_", " "), "episode", label))
         written.append(path)
-
-    data_path = out / "chart_data.csv"
-    with open(data_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("episode,cumulative_reward,f1\n")
-        for e, rw, f in zip(episodes, rewards, f1s):
-            fh.write(f"{e},{rw!r},{f!r}\n")
-    written.append(data_path)
     return written

@@ -51,7 +51,6 @@ FEATURE_NAMES = (
 )
 
 STATE_DIM = len(FEATURE_NAMES)
-FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 LOW_TRUST_CUTOFF = 0.3
 HIGH_TRUST_CUTOFF = 0.7
@@ -95,7 +94,7 @@ class RewardConfig:
             raise ValueError(f"kappa_max must be > 0, got {self.kappa_max}")
 
 
-def collusion_score(tau_honest_mean: float, tau_malicious_mean: float, kappa_max: float = 10.0) -> float:
+def collusion_score(tau_honest_mean: float, tau_malicious_mean: float, kappa_max: float) -> float:
     """kappa = 1/|gap|, capped at kappa_max (the cap also covers the singularity)."""
     gap = abs(tau_honest_mean - tau_malicious_mean)
     if gap < 1.0 / kappa_max:
@@ -136,11 +135,7 @@ def _linear_quantile(ordered: list, q: float) -> float:
 
 
 def extract_state(
-    net: NetworkState,
-    blocks,
-    kappa_max: float = 10.0,
-    corruption: tuple | None = None,
-    steps_per_episode: int = 100,
+    net: NetworkState, blocks, *, kappa_max: float, steps_per_episode: int, corruption: tuple | None = None
 ) -> np.ndarray:
     """Build the 16-feature observation from the current network view.
 
@@ -149,7 +144,7 @@ def extract_state(
     node's trust; the network keeps the true one.  Every block verifies one
     full batch, so the transaction features equal the block features.
     """
-    true_taus = net.trust_scores()
+    true_taus = net.trust_vector()
     taus = true_taus
     if corruption is not None:
         taus = taus.copy()
@@ -284,7 +279,7 @@ class Environment:
         net = self.net
         net.delegation_ratio = apply_action(net.delegation_ratio, action)
 
-        taus = net.trust_scores()
+        taus = net.trust_vector()
         accepted = self.gate.accepted(taus)
 
         k = min(committee_size(net.delegation_ratio, net.n), len(accepted))
@@ -308,7 +303,7 @@ class Environment:
         block = outcome.block_created if outcome else False
         self.blocks.append(block)
 
-        true_taus = net.trust_scores()
+        true_taus = net.trust_vector()
         cm = metrics.classify(true_taus, net.malicious_mask, self.cfg.theta)
         kappa = network_kappa(net, true_taus, self.reward_cfg.kappa_max)
         r_step = 60.0 if block else 0.0
@@ -341,7 +336,7 @@ def run_episode(env: Environment, agent, episode_index: int) -> metrics.EpisodeR
     agent.end_episode()
 
     net = env.net
-    cm = metrics.classify(net.trust_scores(), net.malicious_mask, env.cfg.theta)
+    cm = metrics.classify(net.trust_vector(), net.malicious_mask, env.cfg.theta)
     return metrics.EpisodeRecord(
         episode=episode_index,
         cumulative_reward=env.reward_total,

@@ -20,10 +20,6 @@ class ConfusionMatrix:
         if min(self.tp, self.fp, self.fn, self.tn) < 0:
             raise ValueError("confusion counts must be nonnegative")
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.fn + self.tn
-
 
 def classify(trusts, roles_malicious, theta: float) -> ConfusionMatrix:
     """Tally predictions against ground truth.

@@ -58,7 +58,7 @@ class NetworkState:
     def n(self) -> int:
         return len(self.malicious_mask)
 
-    def trust_scores(self) -> np.ndarray:
+    def trust_vector(self) -> np.ndarray:
         return self.alphas / (self.alphas + self.betas)
 
 
@@ -116,14 +116,16 @@ def run_consensus_round(
     delegates,
     rng: np.random.Generator,
     update_cfg: TrustUpdateConfig,
+    *,
+    detect_p: float,
     posing: np.ndarray | None = None,
-    detect_p: float = 0.5,
     evidence_log=None,
 ) -> RoundOutcome:
     """Run one voting round over the current transaction batch and apply evidence.
 
     Each delegate draws at most one piece of evidence, so the array updates
-    below equal ``apply_evidence`` node by node.  ``posing`` indexes the
+    below equal the evidence rules applied node by node (the per-node
+    reference in ``tests/reference.py``).  ``posing`` indexes the
     malicious nodes that vote Valid.  The caught-or-not draws are taken in
     sorted delegate order, one per Invalid voter.
     """
@@ -165,5 +167,5 @@ def trust_separation(state: NetworkState) -> float:
     """Mean honest trust minus mean malicious trust (signed); 0.0 when a role is empty."""
     if len(state.honest) == 0 or len(state.malicious) == 0:
         return 0.0
-    taus = state.trust_scores()
+    taus = state.trust_vector()
     return float(taus[state.honest].mean() - taus[state.malicious].mean())

@@ -23,18 +23,6 @@ class EvidenceKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class TrustProfile:
-    """Beta evidence pair for one node. Both masses must stay positive."""
-
-    alpha: float
-    beta: float
-
-    def __post_init__(self):
-        if not (self.alpha > 0.0 and self.beta > 0.0):
-            raise ValueError(f"alpha and beta must be positive, got ({self.alpha}, {self.beta})")
-
-
-@dataclass(frozen=True)
 class TrustUpdateConfig:
     delta_valid: float = 1.0
     delta_invalid: float = 1.0
@@ -42,8 +30,8 @@ class TrustUpdateConfig:
     decay_gamma: float = 0.9
 
     def __post_init__(self):
-        if self.delta_valid <= 0 or self.delta_invalid <= 0 or self.delta_malicious <= 0:
-            raise ValueError("evidence deltas must be positive")
+        if not all(0.0 < d < math.inf for d in (self.delta_valid, self.delta_invalid, self.delta_malicious)):
+            raise ValueError("evidence deltas must be positive and finite")
         if not (0.0 < self.decay_gamma < 1.0):
             raise ValueError("decay_gamma must lie strictly inside (0, 1)")
 
@@ -59,21 +47,6 @@ def committee_size(ratio: float, node_count: int) -> int:
 
 def round_half_up(x: float) -> int:
     return int(math.floor(x + 0.5))
-
-
-def trust_score(profile: TrustProfile) -> float:
-    return profile.alpha / (profile.alpha + profile.beta)
-
-
-def apply_evidence(profile: TrustProfile, kind: EvidenceKind, cfg: TrustUpdateConfig) -> TrustProfile:
-    """Return the profile after one piece of behavioral evidence."""
-    if kind is EvidenceKind.VALID:
-        return TrustProfile(profile.alpha + cfg.delta_valid, profile.beta)
-    if kind is EvidenceKind.INVALID:
-        return TrustProfile(profile.alpha, profile.beta + cfg.delta_invalid)
-    if kind is EvidenceKind.MALICIOUS:
-        return TrustProfile(cfg.decay_gamma * profile.alpha, profile.beta + cfg.delta_malicious)
-    raise TypeError(f"unknown evidence kind: {kind!r}")
 
 
 def sample_beta(alphas: np.ndarray, betas: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -94,15 +67,9 @@ def sample_beta(alphas: np.ndarray, betas: np.ndarray, rng: np.random.Generator)
 
 
 def sample_top_k(
-    alphas: np.ndarray,
-    betas: np.ndarray,
-    k: int,
-    rng: np.random.Generator,
-    candidates: np.ndarray | None = None,
+    alphas: np.ndarray, betas: np.ndarray, k: int, rng: np.random.Generator, candidates: np.ndarray
 ) -> np.ndarray:
-    """Indices of the k largest Beta draws, optionally restricted to candidates."""
-    if candidates is None:
-        candidates = np.arange(len(alphas))
+    """Indices of the k largest Beta draws among ``candidates``, ascending."""
     if len(candidates) == 0:
         raise ValueError("candidates must be nonempty")
     samples = sample_beta(alphas[candidates], betas[candidates], rng)

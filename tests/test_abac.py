@@ -17,9 +17,10 @@ from trustsim.abac import (
     PolicyGate,
     SimulatedFheBackend,
     compile_policy,
-    eval_policy_plain,
     parse_policy,
 )
+
+from reference import eval_policy_plain, node_attributes
 
 
 @pytest.fixture
@@ -248,8 +249,7 @@ def per_node_pipeline(policy, backend: SimulatedFheBackend, trusts):
     columns = tuple(NODE_ATTRIBUTES)
     attributes, decisions, accepted = [], [], []
     for node, tau in enumerate(trusts):
-        attrs = {**NODE_ATTRIBUTES, "trust": max(0, min(100, int(np.floor(float(tau) * 100.0))))}
-        attributes += seal_row(backend, attrs)
+        attributes += seal_row(backend, node_attributes(tau))
         decision = eval_policy_plain(policy, open_row(backend, attributes[-1], columns))
         decisions += backend.seal(backend.draw_nonces(1), [bytes([decision])])
         if backend._open(decisions[-1:], 1) == b"\x01":

