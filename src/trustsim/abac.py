@@ -219,8 +219,9 @@ class SimulatedFheBackend:
     compiled policy and seals each decision.  Sealing and opening take
     lists: a batch is masked with one XOR over its concatenated messages,
     and opening refuses a body of any other width than the slots asked
-    for.  The schema is fixed at construction, and its bounds are built
-    once per column tuple.
+    for.  The keystreams of the last seal are kept by nonce, so opening
+    what was just sealed hashes nothing again.  The schema is fixed at
+    construction, and its bounds are built once per column tuple.
     This reproduces the pipeline semantics only; it offers no cryptographic
     strength and says so in its tag.
     """
@@ -232,26 +233,41 @@ class SimulatedFheBackend:
         self._key = self._rng.bytes(32)
         # blake2b's state after the key, copied for each keystream block
         self._keyed = hashlib.blake2b(self._key, digest_size=64)
+        self._sealed: dict[bytes, bytes] = {}  # nonce -> keystream, for the last seal only
         # fixed at construction: its bounds are built once per column tuple
         self.schema = MappingProxyType(dict(DEFAULT_SCHEMA if schema is None else schema))
         self._bounds: dict[tuple, tuple] = {}  # columns -> (lows, highs)
 
-    def _mask(self, nonces: list, messages: list) -> list[bytes]:
-        """Each message XOR its keystream, blake2b(key || nonce || counter) per
-        64-byte block, as one XOR of the concatenations read as uint8 arrays."""
-        keyed = self._keyed
-        # a message's last block is cut to its length, so the blocks join into the keystreams back to back
-        blocks, offsets = [], [0]
+    def _keystreams(self, nonces: list, messages: list) -> list[bytes]:
+        """One keystream per message, blake2b(key || nonce || counter) per 64-byte
+        block with the last block cut to the message's length.  A stream depends
+        only on its nonce and length, so one the last seal made is reused."""
+        keyed, sealed = self._keyed, self._sealed
+        streams = []
         for nonce, data in zip(nonces, messages):
             size = len(data)
-            for start in range(0, size, 64):
-                block = keyed.copy()
-                block.update(nonce + (start >> 6).to_bytes(4, "little"))
-                blocks.append(block.digest()[: size - start])
-            offsets.append(offsets[-1] + size)
-        stream = np.frombuffer(b"".join(blocks), dtype=np.uint8)
+            stream = sealed.get(nonce)
+            if stream is None or len(stream) != size:
+                blocks = []
+                for start in range(0, size, 64):
+                    block = keyed.copy()
+                    block.update(nonce + (start >> 6).to_bytes(4, "little"))
+                    blocks.append(block.digest()[: size - start])
+                stream = b"".join(blocks)
+            streams.append(stream)
+        return streams
+
+    @staticmethod
+    def _xor(streams: list, messages: list) -> list[bytes]:
+        """Each message XOR its stream, as one XOR of the concatenations read as uint8 arrays."""
+        stream = np.frombuffer(b"".join(streams), dtype=np.uint8)
         masked = (np.frombuffer(b"".join(messages), dtype=np.uint8) ^ stream).tobytes()
+        offsets = itertools.accumulate(map(len, messages), initial=0)
         return [masked[start:end] for start, end in itertools.pairwise(offsets)]
+
+    def _mask(self, nonces: list, messages: list) -> list[bytes]:
+        """Each message XOR its keystream."""
+        return self._xor(self._keystreams(nonces, messages), messages)
 
     def draw_nonces(self, count: int) -> list[bytes]:
         """``count`` fresh nonces from one draw; the same bytes ``count`` seals would draw."""
@@ -261,8 +277,10 @@ class SimulatedFheBackend:
         return [pool[i : i + NONCE_BYTES] for i in range(0, len(pool), NONCE_BYTES)]
 
     def seal(self, nonces: list, plains: list) -> list[Ciphertext]:
-        """Plaintext i sealed under ``nonces[i]``."""
-        return [Ciphertext(self.tag, nonce + body) for nonce, body in zip(nonces, self._mask(nonces, plains))]
+        """Plaintext i sealed under ``nonces[i]``; its keystream is kept until the next seal."""
+        streams = self._keystreams(nonces, plains)
+        self._sealed = dict(zip(nonces, streams))
+        return [Ciphertext(self.tag, nonce + body) for nonce, body in zip(nonces, self._xor(streams, plains))]
 
     def seal_rows(self, nonces: list, matrix: np.ndarray) -> list[Ciphertext]:
         """Row i of an integer matrix sealed under ``nonces[i]`` as one little-endian int64 slot per column."""

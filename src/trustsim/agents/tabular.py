@@ -112,18 +112,28 @@ class TabularAgent:
         self.q = QTable()
         self.eps = hp.eps_start
         self._decay = hp.episode_eps_decay(episodes_total)
+        # the last observation's bytes and its key: an episode loop passes each
+        # observation to observe as s', then to act, then to observe as s
+        self._last = (None, b"")
+
+    def key(self, state: np.ndarray) -> bytes:
+        """``discretize(state, self.spec)``, computed once for a run of calls on equal states."""
+        raw = state.tobytes()
+        last_raw, last_key = self._last
+        if raw == last_raw:
+            return last_key
+        key = discretize(state, self.spec)
+        self._last = (raw, key)
+        return key
 
     def act(self, state: np.ndarray) -> int:
-        key = discretize(state, self.spec)
-        return epsilon_greedy(self.q.values(key), self.eps, self.rng)
+        return epsilon_greedy(self.q.values(self.key(state)), self.eps, self.rng)
 
     def observe(self, state, action, reward, next_state) -> None:
-        s_key = discretize(state, self.spec)
-        n_key = discretize(next_state, self.spec)
-        tabular_update(self.q, s_key, action, reward, n_key, self.hp)
+        tabular_update(self.q, self.key(state), action, reward, self.key(next_state), self.hp)
 
     def end_episode(self) -> None:
         self.eps = max(self.hp.eps_min, self.eps * self._decay)
 
     def qvalues(self, state: np.ndarray) -> np.ndarray:
-        return self.q.values(discretize(state, self.spec)).copy()
+        return self.q.values(self.key(state)).copy()

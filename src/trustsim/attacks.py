@@ -41,6 +41,7 @@ from itertools import zip_longest
 import numpy as np
 
 from .network import NetworkState
+from .trust import MAX_INCREMENT
 
 FAMILIES = ("nma", "cra", "aaa", "bfi", "tdp")
 
@@ -100,8 +101,8 @@ class AttackConfig:
         if self.bfi_low_trust > self.bfi_high_trust:
             raise ValueError(f"bfi_low_trust {self.bfi_low_trust} exceeds bfi_high_trust {self.bfi_high_trust}")
         for name in ("nma_noise", "aaa_factor", "bfi_sybil_k", "bfi_endorsement_base", "bfi_strike_magnitude"):
-            if not (0 <= getattr(self, name) < np.inf):
-                raise ValueError(f"{name} must be >= 0 and finite, got {getattr(self, name)}")
+            if not (0 <= getattr(self, name) <= MAX_INCREMENT):
+                raise ValueError(f"{name} must lie in [0, {MAX_INCREMENT:g}], got {getattr(self, name)}")
         if self.cra_period < 1 or self.bfi_window < 1 or self.aaa_burst_period < 1:
             raise ValueError("periods and windows must be >= 1")
 

@@ -13,6 +13,7 @@ evidence stages changes results.
 
 from __future__ import annotations
 
+import bisect
 import enum
 import math
 from collections import deque
@@ -135,7 +136,13 @@ def _linear_quantile(ordered: list, q: float) -> float:
 
 
 def extract_state(
-    net: NetworkState, blocks, *, kappa_max: float, steps_per_episode: int, corruption: tuple | None = None
+    net: NetworkState,
+    blocks,
+    *,
+    kappa_max: float,
+    steps_per_episode: int,
+    corruption: tuple | None = None,
+    view: tuple | None = None,
 ) -> np.ndarray:
     """Build the 16-feature observation from the current network view.
 
@@ -143,8 +150,13 @@ def extract_state(
     eclipse's ``(node, value)``: the observation shows ``value`` as that
     node's trust; the network keeps the true one.  Every block verifies one
     full batch, so the transaction features equal the block features.
+    ``view`` is the ``(trust vector, kappa)`` pair of the network as it
+    stands, when the caller already has it; without it both are computed.
     """
-    true_taus = net.trust_vector()
+    if view is None:
+        true_taus = net.trust_vector()
+        view = true_taus, network_kappa(net, true_taus, kappa_max)
+    true_taus, kappa = view
     taus = true_taus
     if corruption is not None:
         taus = taus.copy()
@@ -174,16 +186,14 @@ def extract_state(
 
     hm_ratio = len(net.honest) / max(1, len(net.malicious))
 
-    low_frac = np.count_nonzero(taus < LOW_TRUST_CUTOFF) / n
-    high_frac = np.count_nonzero(taus > HIGH_TRUST_CUTOFF) / n
+    low_frac = bisect.bisect_left(ordered, LOW_TRUST_CUTOFF) / n
+    high_frac = (n - bisect.bisect_right(ordered, HIGH_TRUST_CUTOFF)) / n
 
     # the delegation policy's committee fraction: the observable image of
     # the controlled variable (k/N under the current ratio)
     deleg_eff = committee_size(net.delegation_ratio, net.n) / net.n
 
     block_rate = sum(blocks) / len(blocks) if blocks else 0.0
-
-    kappa = network_kappa(net, true_taus, kappa_max)
 
     state = np.array(
         [
@@ -256,6 +266,8 @@ class Environment:
         self.evidence_log = evidence_log
         self.blocks: deque = deque(maxlen=HISTORY_WINDOW)
         self.pending_corruption: tuple | None = None
+        # the last step's ((episode, step), trust vector, kappa), for the observe() that follows it
+        self.handoff: tuple | None = None
         self.kappas: list[float] = []
         self.reward_total = 0.0
 
@@ -263,16 +275,26 @@ class Environment:
         self.net.episode_index = episode_index
         self.blocks.clear()
         self.pending_corruption = None
+        self.handoff = None
         self.kappas = []
         self.reward_total = 0.0
 
     def observe(self) -> np.ndarray:
+        """The observation of the network as it stands.
+
+        Directly after a step, it reuses the trust vector and kappa that the
+        step computed from the same masses; any other call computes both.
+        """
+        net, handoff = self.net, self.handoff
+        self.handoff = None
+        view = handoff[1:] if handoff is not None and handoff[0] == (net.episode_index, net.step_index) else None
         return extract_state(
-            self.net,
+            net,
             self.blocks,
             kappa_max=self.reward_cfg.kappa_max,
             corruption=self.pending_corruption,
             steps_per_episode=self.steps,
+            view=view,
         )
 
     def step(self, action: Action) -> float:
@@ -314,6 +336,7 @@ class Environment:
         self.kappas.append(kappa)
         self.reward_total += reward  # a left fold: the same bytes on every Python version
         net.step_index += 1
+        self.handoff = (net.episode_index, net.step_index), true_taus, kappa
         return reward
 
 

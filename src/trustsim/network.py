@@ -71,6 +71,7 @@ PRIOR_ALPHA = 8.0
 PRIOR_BETA = 8.0
 INIT_NOISE_SIGMA = 0.12
 MIN_INIT_ALPHA = 0.5
+ALPHA_FLOOR = np.finfo(float).tiny
 
 
 def draw_profiles(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -147,7 +148,9 @@ def run_consensus_round(
         state.alphas[delegates[valid]] += update_cfg.delta_valid
     suspects = delegates[~valid]
     caught = rng.random(len(suspects)) < detect_p
-    state.alphas[suspects[caught]] *= update_cfg.decay_gamma
+    # repeated catches would underflow alpha to 0.0; the smallest normal float keeps it positive
+    culprits = suspects[caught]
+    state.alphas[culprits] = np.maximum(state.alphas[culprits] * update_cfg.decay_gamma, ALPHA_FLOOR)
     state.betas[suspects] += np.where(caught, update_cfg.delta_malicious, update_cfg.delta_invalid)
 
     if evidence_log is not None:

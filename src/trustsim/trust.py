@@ -15,6 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the largest evidence increment one event may carry: far above any useful
+# setting, and far enough below float64's maximum that masses summed over
+# many events stay finite
+MAX_INCREMENT = 1e6
+
 
 class EvidenceKind(enum.Enum):
     VALID = "valid"
@@ -30,8 +35,8 @@ class TrustUpdateConfig:
     decay_gamma: float = 0.9
 
     def __post_init__(self):
-        if not all(0.0 < d < math.inf for d in (self.delta_valid, self.delta_invalid, self.delta_malicious)):
-            raise ValueError("evidence deltas must be positive and finite")
+        if not all(0.0 < d <= MAX_INCREMENT for d in (self.delta_valid, self.delta_invalid, self.delta_malicious)):
+            raise ValueError(f"evidence deltas must lie in (0, {MAX_INCREMENT:g}]")
         if not (0.0 < self.decay_gamma < 1.0):
             raise ValueError("decay_gamma must lie strictly inside (0, 1)")
 
@@ -53,10 +58,13 @@ def sample_beta(alphas: np.ndarray, betas: np.ndarray, rng: np.random.Generator)
     """One Thompson draw per node via the gamma-ratio construction.
 
     x ~ Gamma(alpha), y ~ Gamma(beta), sample = x / (x + y).  Valid for any
-    positive shape parameters without approximation cutoffs.
+    positive shape parameters without approximation cutoffs.  numpy fills
+    an array-shaped gamma draw element by element in order, so one call
+    over both shape vectors gives the values and the generator state of
+    two calls, x's then y's.
     """
-    x = rng.standard_gamma(alphas)
-    y = rng.standard_gamma(betas)
+    gammas = rng.standard_gamma(np.concatenate((alphas, betas)))
+    x, y = gammas[: len(alphas)], gammas[len(alphas) :]
     denom = x + y
     # Guard against simultaneous underflow at extreme shapes; fall back to the mean.
     zero = denom == 0.0

@@ -32,6 +32,8 @@ from trustsim.attacks import AAA_STRATEGIES
 from trustsim.env import ACTION_MULTIPLIERS, FEATURE_NAMES, HIGH_TRUST_CUTOFF, HISTORY_WINDOW, LOW_TRUST_CUTOFF
 from trustsim.trust import EvidenceKind
 
+ALPHA_FLOOR = float(np.finfo(float).tiny)
+
 FEATURE_INDEX = {name: i for i, name in enumerate(FEATURE_NAMES)}
 
 
@@ -61,7 +63,8 @@ def apply_evidence(profile: TrustProfile, kind: EvidenceKind, cfg) -> TrustProfi
     if kind is EvidenceKind.INVALID:
         return TrustProfile(profile.alpha, profile.beta + cfg.delta_invalid)
     if kind is EvidenceKind.MALICIOUS:
-        return TrustProfile(cfg.decay_gamma * profile.alpha, profile.beta + cfg.delta_malicious)
+        # the decay stops at the smallest normal float, so alpha never underflows to 0.0
+        return TrustProfile(max(cfg.decay_gamma * profile.alpha, ALPHA_FLOOR), profile.beta + cfg.delta_malicious)
     raise TypeError(f"unknown evidence kind: {kind!r}")
 
 

@@ -242,6 +242,44 @@ def test_mask_of_a_batch_matches_per_message_masks(backend):
     assert backend._mask([], []) == []
 
 
+class CountingKeyed:
+    """Stands in for the backend's keyed blake2b state and counts the keystream blocks made from it."""
+
+    def __init__(self, keyed):
+        self.keyed, self.blocks = keyed, 0
+
+    def copy(self):
+        self.blocks += 1
+        return self.keyed.copy()
+
+
+def test_opening_hashes_only_what_the_last_seal_did_not(backend):
+    backend._keyed = counter = CountingKeyed(backend._keyed)
+    rng = np.random.default_rng(3)
+    older = [rng.bytes(n) for n in (32, 1, 65)]
+    older_cts = backend.seal(backend.draw_nonces(3), older)
+    newer = [rng.bytes(32) for _ in range(4)]
+    newer_cts = backend.seal(backend.draw_nonces(4), newer)
+    assert counter.blocks == 4 + 4
+    assert backend._open(newer_cts, 32) == b"".join(newer)  # the last seal's blocks, hashed again for none
+    assert counter.blocks == 8
+    # the older batch's blocks are no longer kept, so opening it hashes them again
+    for ct, plain in zip(older_cts, older):
+        assert backend._open([ct], len(plain)) == plain
+    assert counter.blocks == 8 + 4
+    # a kept stream is reused only at its own length
+    [ct] = backend.seal(backend.draw_nonces(1), [bytes(1)])
+    nonce = ct.payload[:16]
+    assert backend._mask([nonce], [bytes(40)]) == [per_message_mask(backend._key, nonce, bytes(40))]
+
+    # the gate over 16 nodes: 16 attribute rows and 16 decisions, each hashed once
+    gate = PolicyGate(mode="encrypted", backend=backend)
+    before = counter.blocks
+    taus = np.random.default_rng(4).random(16)
+    assert np.array_equal(gate.accepted(taus), PolicyGate().accepted(taus))
+    assert counter.blocks - before == 32
+
+
 def per_node_pipeline(policy, backend: SimulatedFheBackend, trusts):
     """Reference for the encrypted gate, node by node: seal the node's attributes under a fresh
     nonce, open them, decide with ``eval_policy_plain`` and seal the decision under the next nonce.

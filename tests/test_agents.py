@@ -497,6 +497,44 @@ def test_train_step_skips_until_buffer_fills():
     assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
+class EveryCallTabularAgent(TabularAgent):
+    """A tabular agent that discretizes on every call: the reference for the key cache."""
+
+    def key(self, state):
+        return discretize(state, self.spec)
+
+
+def drive_tabular(agent, states, seed, steps) -> list:
+    """Random episodes over a small pool of states, so states repeat, back to back too.  Half the
+    time the caller overwrites an observation in place after handing it over, as a loop reusing one
+    buffer would, so a key cached by object would go stale."""
+    walk = np.random.default_rng(seed)
+    state, actions = states[walk.integers(len(states))].copy(), []
+    for _ in range(steps):
+        actions.append(agent.act(state))
+        next_state = states[walk.integers(len(states))].copy()
+        agent.observe(state, actions[-1], float(walk.normal()), next_state)
+        if walk.random() < 0.5:
+            next_state[:] = states[walk.integers(len(states))]
+        state = next_state
+        if walk.random() < 0.1:
+            agent.end_episode()
+    return actions
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), pool=st.integers(1, 6), steps=st.integers(1, 60))
+def test_tabular_key_cache_matches_discretizing_every_call(seed, pool, steps):
+    states = np.random.default_rng(seed).uniform(-0.5, 1.5, size=(pool, 16)) * np.array(default_spec().highs)
+    hp = AgentHyperparams(eps_start=0.5)
+    cached, every_call = (cls(hp, np.random.default_rng(seed), 50) for cls in (TabularAgent, EveryCallTabularAgent))
+    assert drive_tabular(cached, states, seed + 1, steps) == drive_tabular(every_call, states, seed + 1, steps)
+    assert cached.q.table.keys() == every_call.q.table.keys()
+    for key, row in cached.q.table.items():
+        assert row.tobytes() == every_call.q.table[key].tobytes()
+    assert cached.rng.bit_generator.state == every_call.rng.bit_generator.state
+
+
 # --- epsilon schedule ----------------------------------------------------------------
 
 

@@ -312,6 +312,14 @@ def test_cli_rejects_bad_agent(capsys):
         ["--set", "trust.delta_valid=nan"],
         ["--set", "attack.nma_noise=inf"],
         ["--set", "attack.bfi_strike_magnitude=nan"],
+        ["--set", "trust.delta_valid=1000000.0001"],
+        ["--set", "trust.delta_invalid=1e7"],
+        ["--set", "trust.delta_malicious=1e308"],
+        ["--set", "attack.nma_noise=1e308"],
+        ["--set", "attack.aaa_factor=1e308"],
+        ["--set", "attack.bfi_sybil_k=1000001"],
+        ["--set", "attack.bfi_endorsement_base=2e6"],
+        ["--set", "attack.bfi_strike_magnitude=1e300"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -368,6 +376,14 @@ def test_cli_rejects_bad_agent(capsys):
         "nan-trust-delta",
         "infinite-nma-noise",
         "nan-bfi-strike",
+        "trust-delta-valid-above-cap",
+        "trust-delta-invalid-above-cap",
+        "trust-delta-malicious-near-float-max",
+        "nma-noise-near-float-max",
+        "aaa-factor-near-float-max",
+        "bfi-sybil-k-above-cap",
+        "bfi-endorsement-above-cap",
+        "bfi-strike-above-cap",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
@@ -388,6 +404,15 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert "Traceback" not in captured.err
     assert "matrix:" not in captured.out
     assert not (tmp_path / "o").exists()
+
+
+def test_increments_at_the_cap_are_accepted():
+    cfg = ExperimentConfig()
+    for key in ("trust.delta_valid", "trust.delta_invalid", "trust.delta_malicious", "attack.nma_noise",
+                "attack.aaa_factor", "attack.bfi_sybil_k", "attack.bfi_endorsement_base",
+                "attack.bfi_strike_magnitude"):
+        cfg = apply_override(cfg, f"{key}=1000000")
+    assert cfg.trust.delta_malicious == 1e6 and cfg.attack_cfg.bfi_sybil_k == 10**6
 
 
 @pytest.mark.parametrize("matrix", [False, True], ids=["single", "matrix"])

@@ -14,6 +14,7 @@ from trustsim.env import (
     HIGH_TRUST_CUTOFF,
     LOW_TRUST_CUTOFF,
     Action,
+    EnvConfig,
     Environment,
     RewardConfig,
     apply_action,
@@ -250,6 +251,50 @@ def test_cumulative_reward_is_the_left_fold_of_step_rewards(agent, monkeypatch):
         assert r.cumulative_reward == functools.reduce(operator.add, rewards[i * 40:(i + 1) * 40], 0.0)
 
 
+def from_scratch(env) -> np.ndarray:
+    """The observation computed from the network alone, as ``observe`` computes it without a hand-off."""
+    return extract_state(env.net, env.blocks, kappa_max=env.reward_cfg.kappa_max, steps_per_episode=env.steps,
+                         corruption=env.pending_corruption)
+
+
+@pytest.mark.parametrize("attack", ATTACKS)
+def test_observe_after_step_and_at_episode_start_equals_from_scratch(attack, monkeypatch):
+    # after a step, observe reuses the step's trust vector and kappa; at an episode's start,
+    # after reset_profiles, it has none to reuse
+    seen = []
+    original = Environment.observe
+
+    def checked(env):
+        expected = from_scratch(env)
+        handed = env.handoff is not None
+        state = original(env)
+        assert state.tobytes() == expected.tobytes()
+        seen.append(handed)
+        return state
+
+    monkeypatch.setattr(Environment, "observe", checked)
+    simulate(ExperimentConfig(agent="rl", attack=attack, episodes=2, steps=30, seed=9, allow_short_tdp=True,
+                              attack_cfg=AttackConfig(tdp_activation_episode=2)))
+    assert seen == ([False] + [True] * 30) * 2
+
+
+def test_observe_not_directly_after_a_step_computes_from_scratch():
+    env, _agent, rng_reset, _episodes, _warning = build_simulation(ExperimentConfig(agent="rl", attack="cra"))
+    reset_profiles(env.net, rng_reset)
+    env.begin_episode(1)
+    env.step(Action.MAINTAIN)
+    assert env.observe().tobytes() == from_scratch(env).tobytes()
+    env.net.alphas[0] *= 0.5  # the masses move after the step's view was taken
+    assert env.observe().tobytes() == from_scratch(env).tobytes()
+    env.step(Action.MAINTAIN)
+    reset_profiles(env.net, rng_reset)  # fresh masses and step 0: the view's tag no longer matches
+    assert env.observe().tobytes() == from_scratch(env).tobytes()
+    env.step(Action.MAINTAIN)
+    reset_profiles(env.net, rng_reset)  # a new episode before the step's view is used
+    env.begin_episode(2)
+    assert env.observe().tobytes() == from_scratch(env).tobytes()
+
+
 def test_config_rejects_nonpositive_steps():
     with pytest.raises(ConfigError):
         ExperimentConfig(steps=0)
@@ -286,8 +331,8 @@ def test_two_node_population_runs_with_defined_metrics(agent, attack, gate_mode,
     assert np.isfinite(masses).all() and (masses > 0.0).all()
 
 
-# Any positive finite increment passes the config checks; the draws stop at 1e6 per event, since increments
-# near float64's maximum overflow a sum of two, which is the float range and not the evidence rules.
+# The config caps every increment at 1e6 per event, since increments near float64's maximum overflow a
+# sum of two; the draws cover that whole range.
 increments = st.floats(0.0, 1e6)
 
 
@@ -321,3 +366,18 @@ def test_beta_masses_stay_positive_and_finite(attack, n, ratio, deltas, gamma, s
         env.step(Action(action))
         masses = np.concatenate([env.net.alphas, env.net.betas])
         assert np.isfinite(masses).all() and (masses > 0.0).all(), f"step {env.net.step_index}: {masses}"
+
+
+def test_repeated_catches_keep_alpha_positive(tmp_path):
+    # every node passes the gate and every Invalid vote is caught, so node alphas decay by 1e-200 a catch
+    (tmp_path / "all.policy").write_text("trust >= 0\n")
+    cfg = ExperimentConfig(agent="rl", attack="nma", seed=1, episodes=1, steps=10,
+                           policy_file=str(tmp_path / "all.policy"), trust=TrustUpdateConfig(decay_gamma=1e-200),
+                           env=EnvConfig(detect_p=1.0))
+    env, _agent, rng_reset, _episodes, _warning = build_simulation(cfg)
+    reset_profiles(env.net, rng_reset)
+    env.begin_episode(1)
+    for _ in range(cfg.steps):
+        env.step(Action.INCREASE)
+        assert (env.net.alphas > 0.0).all(), f"step {env.net.step_index}: {env.net.alphas}"
+    assert env.net.alphas.min() == np.finfo(float).tiny

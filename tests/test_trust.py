@@ -8,6 +8,7 @@ from trustsim.trust import (
     EvidenceKind,
     TrustUpdateConfig,
     round_half_up,
+    sample_beta,
     sample_top_k,
 )
 
@@ -159,3 +160,28 @@ def test_sample_top_k_exact_k_distinct(seed):
     chosen = sample_top_k(alphas, betas, committee_size(0.4, 12), rng, candidates=np.arange(12))
     assert len(chosen) == 5  # round(4.8)
     assert len(set(chosen.tolist())) == 5
+
+
+# Shapes on both sides of 1, so numpy's two gamma branches (shape < 1 and shape > 1) both draw,
+# and exactly 1, its exponential case.
+shapes = st.lists(st.one_of(st.floats(1e-3, 1e3), st.just(1.0)), min_size=1, max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(alphas=shapes, betas=shapes, seed=st.integers(0, 2**32 - 1))
+def test_standard_gamma_one_call_over_concatenated_shapes_equals_two_calls(alphas, betas, seed):
+    alphas, betas = np.array(alphas), np.array(betas)
+    one, two = np.random.default_rng(seed), np.random.default_rng(seed)
+    joined = one.standard_gamma(np.concatenate((alphas, betas)))
+    separate = np.concatenate((two.standard_gamma(alphas), two.standard_gamma(betas)))
+    assert joined.tobytes() == separate.tobytes()
+    assert one.bit_generator.state == two.bit_generator.state
+
+    # sample_beta is the gamma ratio of the two calls, x's then y's; the Beta mean where both underflow
+    betas = np.resize(betas, len(alphas))
+    rng, expected_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    x, y = expected_rng.standard_gamma(alphas), expected_rng.standard_gamma(betas)
+    zero = x + y == 0.0
+    expected = np.where(zero, alphas / (alphas + betas), x / np.where(zero, 1.0, x + y))
+    assert sample_beta(alphas, betas, rng).tobytes() == expected.tobytes()
+    assert rng.bit_generator.state == expected_rng.bit_generator.state
