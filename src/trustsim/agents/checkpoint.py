@@ -105,12 +105,6 @@ def _is_array_entry(entry) -> bool:
     )
 
 
-def _hp_dict(hp: AgentHyperparams) -> dict:
-    d = asdict(hp)
-    d["hidden_sizes"] = list(hp.hidden_sizes)
-    return d
-
-
 def _hp_from_dict(d, path) -> AgentHyperparams:
     """The hyperparameters a header names; ValueError for an unknown name or an unusable value."""
     if not isinstance(d, dict):
@@ -173,7 +167,7 @@ def save_agent(agent, path, seed=None) -> None:
                 "lows": list(agent.spec.lows),
                 "highs": list(agent.spec.highs),
             },
-            _hp_dict(agent.hp),
+            asdict(agent.hp),
             seed,
             [("state_keys", key_arr.shape), ("qvalues", val_arr.shape)],
             [key_arr, val_arr],
@@ -188,7 +182,7 @@ def save_agent(agent, path, seed=None) -> None:
             topology["n_agents"] = agent.n_agents
         directory = _net_directory(agent.online)
         bodies = [agent.online.flat, agent.target.flat]
-        save_checkpoint(path, kind, topology, _hp_dict(agent.hp), seed, directory, bodies, extra={"eps": agent.eps})
+        save_checkpoint(path, kind, topology, asdict(agent.hp), seed, directory, bodies, extra={"eps": agent.eps})
         return
 
     raise TypeError(f"cannot checkpoint agent of type {type(agent).__name__}")

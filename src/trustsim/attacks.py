@@ -153,9 +153,9 @@ def new_state(cfg: AttackConfig) -> AttackState:
     return AttackState(aaa_eps=cfg.aaa_eps_start)
 
 
-def _top_trust(net: NetworkState, indices: np.ndarray, count: int) -> list[int]:
-    """The `count` highest-trust nodes among ascending `indices`; ties break on index."""
-    order = np.argsort(-net.trust_vector()[indices], kind="stable")[:count]
+def _top_trust(taus: np.ndarray, indices: np.ndarray, count: int) -> list[int]:
+    """The `count` highest-trust nodes among ascending `indices` under trust vector `taus`; ties break on index."""
+    order = np.argsort(-taus[indices], kind="stable")[:count]
     return indices[order].tolist()
 
 
@@ -203,18 +203,17 @@ def cra_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
     m = len(coalition)
     if m == 0:
         return []
-    targets = _top_trust(net, net.honest, int(np.ceil(cfg.cra_target_fraction * len(net.honest))))
+    targets = _top_trust(net.trust_vector(), net.honest, int(np.ceil(cfg.cra_target_fraction * len(net.honest))))
     return _endorse(coalition, (m - 1) * cfg.cra_intensity) + _strike(targets, m * cfg.cra_intensity, coalition)
 
 
 # --- AAA ---------------------------------------------------------------------
 
 
-def _aaa_apply_strategy(cfg: AttackConfig, strategy: int, net: NetworkState, rng) -> list[Perturbation]:
+def _aaa_apply_strategy(cfg: AttackConfig, strategy: int, net: NetworkState, taus, rng) -> list[Perturbation]:
     malicious = net.malicious
     honest = net.honest
     m = len(malicious)
-    taus = net.trust_vector()
     coalition_boost = (m - 1) * cfg.aaa_factor
     strike = m * cfg.aaa_factor
     perts: list[Perturbation] = []
@@ -237,13 +236,13 @@ def _aaa_apply_strategy(cfg: AttackConfig, strategy: int, net: NetworkState, rng
         perts = _endorse(all_mal, coalition_boost)
     elif name == "mimicry" and len(honest):
         # behavioral imitation of the top honest node; no transaction to refuse
-        top = _top_trust(net, honest, 1)[0]
+        top = _top_trust(taus, honest, 1)[0]
         for node in malicious:
             if taus[node] < taus[top] and coalition_boost > 0:
                 perts.append(Perturbation(int(node), PerturbationKind.BOOST_ALPHA, coalition_boost))
     elif name == "temporal_coordination" and net.step_index % cfg.aaa_burst_period == 0 and len(honest):
         # per member: strike the top honest node, then endorse that member
-        strikes = _strike(_top_trust(net, honest, 1) * m, strike, all_mal)
+        strikes = _strike(_top_trust(taus, honest, 1) * m, strike, all_mal)
         boosts = _endorse(all_mal, coalition_boost)
         perts = [p for pair in zip_longest(strikes, boosts) for p in pair if p is not None]
     return perts
@@ -253,7 +252,8 @@ def aaa_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
     malicious = net.malicious
     if len(malicious) == 0:
         return []
-    mean_now = float(net.trust_vector()[malicious].mean())
+    taus = net.trust_vector()
+    mean_now = float(taus[malicious].mean())
     if state.aaa_prev_strategy is not None:
         prev = state.aaa_prev_strategy
         state.aaa_scores[prev] = 0.8 * state.aaa_scores[prev] + 0.2 * (mean_now - state.aaa_prev_mean_trust)
@@ -264,7 +264,7 @@ def aaa_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
         strategy = int(np.argmax(state.aaa_scores))
     state.aaa_eps = state.aaa_eps * cfg.aaa_eps_decay
 
-    perts = _aaa_apply_strategy(cfg, strategy, net, rng)
+    perts = _aaa_apply_strategy(cfg, strategy, net, taus, rng)
     state.aaa_prev_strategy = strategy
     state.aaa_prev_mean_trust = mean_now
     return perts
@@ -310,7 +310,7 @@ def bfi_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
         state.bfi_endorse_cursor += 1
 
     if net.step_index % cfg.bfi_window == 0 and len(honest):
-        top = _top_trust(net, honest, 1)
+        top = _top_trust(taus, honest, 1)
         for b in byz.tolist():
             perts += _strike(top, cfg.bfi_strike_magnitude, (b,))
 
@@ -335,7 +335,7 @@ def tdp_step(cfg: AttackConfig, state: AttackState, net: NetworkState, rng) -> l
     m = len(sleepers)
     if m == 0:
         return []
-    targets = _top_trust(net, net.honest, int(np.ceil(cfg.tdp_target_ratio * len(net.honest))))
+    targets = _top_trust(net.trust_vector(), net.honest, int(np.ceil(cfg.tdp_target_ratio * len(net.honest))))
     return _strike(targets, m * cfg.tdp_intensity, sleepers) + _endorse(sleepers, (m - 1) * cfg.tdp_intensity)
 
 

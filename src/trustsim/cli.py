@@ -43,7 +43,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--config", default=None, help="plain-text config file (key=value sections)")
     parser.add_argument("--matrix", action="store_true", help="run the agent x attack matrix")
     parser.add_argument("--seeds", default=None, help="comma-separated seeds for matrix mode (default 42,43,44)")
-    parser.add_argument("--workers", type=int, default=1, help="parallel workers in matrix mode")
+    parser.add_argument("--workers", type=int, default=None, help="parallel workers in matrix mode (default 1)")
     parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override any config value; repeatable")
     parser.add_argument("--allow-short-tdp", action="store_true",
@@ -71,6 +71,10 @@ def _parse_seeds(raw: str) -> list[int]:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if not args.matrix:
+            for flag, value in (("--seeds", args.seeds), ("--workers", args.workers)):
+                if value is not None:
+                    raise ConfigError(f"{flag} applies only with --matrix")
         cfg = ExperimentConfig()
         if args.config:
             cfg = load_config_file(args.config, base=cfg)
@@ -94,7 +98,8 @@ def main(argv=None) -> int:
             attacks = _parse_list(args.attack, ATTACKS, "attack") if args.attack else list(FAMILIES)
             seeds = _parse_seeds(args.seeds) if args.seeds else list(MATRIX_SEEDS)
             cfg = replace(cfg, **updates)
-            results, failures = run_matrix(cfg, agents, attacks, seeds, workers=args.workers, quiet=False)
+            workers = 1 if args.workers is None else args.workers
+            results, failures = run_matrix(cfg, agents, attacks, seeds, workers=workers, quiet=False)
             print(f"wrote {cfg.out}/matrix_f1.csv ({len(failures)} failed runs)")
             return 1 if failures else 0
 

@@ -17,7 +17,7 @@ import bisect
 import enum
 import math
 from collections import deque
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .abac import PolicyGate
 from .attacks import Attack, apply_perturbations
 from .network import (
     NetworkState,
+    reset_profiles,
     run_consensus_round,
     trust_separation,
 )
@@ -239,7 +240,13 @@ class SimulationError(RuntimeError):
 
 
 class Environment:
-    """One seeded simulation instance; owns the network, gate and attack."""
+    """One seeded simulation instance; owns the network, gate and attack.
+
+    It is the only writer of the network during a run, so it keeps the
+    network's current trust view, ``taus`` and ``kappa``: taken when an
+    episode begins and after each step's evidence.  The access gate, the
+    reward, ``observe`` and the episode's closing classification read it.
+    """
 
     def __init__(
         self,
@@ -250,6 +257,7 @@ class Environment:
         reward_cfg: RewardConfig,
         env_cfg: EnvConfig,
         steps: int,
+        rng_reset: np.random.Generator,
         rng_consensus: np.random.Generator,
         rng_attack: np.random.Generator,
         evidence_log: list | None = None,
@@ -261,48 +269,47 @@ class Environment:
         self.reward_cfg = reward_cfg
         self.cfg = env_cfg
         self.steps = steps
+        self.rng_reset = rng_reset
         self.rng_consensus = rng_consensus
         self.rng_attack = rng_attack
         self.evidence_log = evidence_log
         self.blocks: deque = deque(maxlen=HISTORY_WINDOW)
         self.pending_corruption: tuple | None = None
-        # the last step's ((episode, step), trust vector, kappa), for the observe() that follows it
-        self.handoff: tuple | None = None
+        self.taus: np.ndarray | None = None
+        self.kappa = 0.0
         self.kappas: list[float] = []
         self.reward_total = 0.0
 
     def begin_episode(self, episode_index: int) -> None:
+        """Fresh masses and counters for a new episode."""
+        reset_profiles(self.net, self.rng_reset)
         self.net.episode_index = episode_index
         self.blocks.clear()
         self.pending_corruption = None
-        self.handoff = None
         self.kappas = []
         self.reward_total = 0.0
+        self._take_view()
+
+    def _take_view(self) -> None:
+        self.taus = self.net.trust_vector()
+        self.kappa = network_kappa(self.net, self.taus, self.reward_cfg.kappa_max)
 
     def observe(self) -> np.ndarray:
-        """The observation of the network as it stands.
-
-        Directly after a step, it reuses the trust vector and kappa that the
-        step computed from the same masses; any other call computes both.
-        """
-        net, handoff = self.net, self.handoff
-        self.handoff = None
-        view = handoff[1:] if handoff is not None and handoff[0] == (net.episode_index, net.step_index) else None
+        """The observation of the network as it stands."""
         return extract_state(
-            net,
+            self.net,
             self.blocks,
             kappa_max=self.reward_cfg.kappa_max,
             corruption=self.pending_corruption,
             steps_per_episode=self.steps,
-            view=view,
+            view=(self.taus, self.kappa),
         )
 
     def step(self, action: Action) -> float:
         net = self.net
         net.delegation_ratio = apply_action(net.delegation_ratio, action)
 
-        taus = net.trust_vector()
-        accepted = self.gate.accepted(taus)
+        accepted = self.gate.accepted(self.taus)
 
         k = min(committee_size(net.delegation_ratio, net.n), len(accepted))
         outcome = None
@@ -325,18 +332,16 @@ class Environment:
         block = outcome.block_created if outcome else False
         self.blocks.append(block)
 
-        true_taus = net.trust_vector()
-        cm = metrics.classify(true_taus, net.malicious_mask, self.cfg.theta)
-        kappa = network_kappa(net, true_taus, self.reward_cfg.kappa_max)
+        self._take_view()
+        cm = metrics.classify(self.taus, net.malicious_mask, self.cfg.theta)
         r_step = 60.0 if block else 0.0
-        reward = compute_reward(cm, r_step, kappa, self.reward_cfg)
+        reward = compute_reward(cm, r_step, self.kappa, self.reward_cfg)
         if not math.isfinite(reward):
             raise SimulationError(f"non-finite reward at step {net.step_index}: {reward}")
 
-        self.kappas.append(kappa)
+        self.kappas.append(self.kappa)
         self.reward_total += reward  # a left fold: the same bytes on every Python version
         net.step_index += 1
-        self.handoff = (net.episode_index, net.step_index), true_taus, kappa
         return reward
 
 
@@ -359,14 +364,14 @@ def run_episode(env: Environment, agent, episode_index: int) -> metrics.EpisodeR
     agent.end_episode()
 
     net = env.net
-    cm = metrics.classify(net.trust_vector(), net.malicious_mask, env.cfg.theta)
+    cm = metrics.classify(env.taus, net.malicious_mask, env.cfg.theta)
     return metrics.EpisodeRecord(
         episode=episode_index,
         cumulative_reward=env.reward_total,
-        confusion=cm,
         f1=metrics.f1(cm),
         precision=metrics.precision(cm),
         recall=metrics.recall(cm),
+        **asdict(cm),
         throughput=net.chain_length * env.cfg.batch_size,
         chain_length=net.chain_length,
         mean_kappa=float(np.mean(env.kappas)) if env.kappas else 0.0,

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,14 +55,17 @@ def f1(cm: ConfusionMatrix) -> float:
 
 @dataclass
 class EpisodeRecord:
-    """One row of per-episode reporting."""
+    """One row of per-episode reporting; the field order is the episodes.csv column order."""
 
     episode: int
     cumulative_reward: float
-    confusion: ConfusionMatrix
     f1: float
     precision: float
     recall: float
+    tp: int
+    fp: int
+    fn: int
+    tn: int
     throughput: int
     chain_length: int
     mean_kappa: float
@@ -71,41 +74,7 @@ class EpisodeRecord:
 
 
 # episodes.csv schema; order is part of the external contract
-CSV_COLUMNS = (
-    "episode",
-    "cumulative_reward",
-    "f1",
-    "precision",
-    "recall",
-    "tp",
-    "fp",
-    "fn",
-    "tn",
-    "throughput",
-    "chain_length",
-    "mean_kappa",
-    "trust_separation",
-    "delegation_ratio",
-)
-
-
-def record_row(rec: EpisodeRecord) -> tuple:
-    return (
-        rec.episode,
-        rec.cumulative_reward,
-        rec.f1,
-        rec.precision,
-        rec.recall,
-        rec.confusion.tp,
-        rec.confusion.fp,
-        rec.confusion.fn,
-        rec.confusion.tn,
-        rec.throughput,
-        rec.chain_length,
-        rec.mean_kappa,
-        rec.trust_separation,
-        rec.delegation_ratio,
-    )
+CSV_COLUMNS = tuple(f.name for f in fields(EpisodeRecord))
 
 
 AGGREGATE_FIELDS = (

@@ -9,7 +9,7 @@ import statistics
 import sys
 import traceback
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +21,7 @@ from .attacks import Attack
 from .charts import emit_charts
 from .config import MATRIX_SEEDS, ConfigError, ExperimentConfig, manifest_lines
 from .env import Environment, run_episode
-from .network import init_network, reset_profiles
+from .network import init_network
 
 
 def _format_value(v) -> str:
@@ -79,20 +79,18 @@ def build_simulation(cfg: ExperimentConfig):
         reward_cfg=cfg.reward,
         env_cfg=cfg.env,
         steps=cfg.steps,
+        rng_reset=rng_reset,
         rng_consensus=rng_consensus,
         rng_attack=rng_attack,
         evidence_log=evidence_log,
     )
-    return env, agent, rng_reset, episodes, warning
+    return env, agent, episodes, warning
 
 
 def simulate(cfg: ExperimentConfig):
     """Run the full episode loop in memory; returns (records, env, agent, warning)."""
-    env, agent, rng_reset, episodes, warning = build_simulation(cfg)
-    records = []
-    for ep in range(1, episodes + 1):
-        reset_profiles(env.net, rng_reset)
-        records.append(run_episode(env, agent, episode_index=ep))
+    env, agent, episodes, warning = build_simulation(cfg)
+    records = [run_episode(env, agent, episode_index=ep) for ep in range(1, episodes + 1)]
     return records, env, agent, warning
 
 
@@ -106,7 +104,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True):
         print(f"warning: {warning}", file=sys.stderr)
     episodes = len(records)
 
-    write_csv(out / "episodes.csv", metrics.CSV_COLUMNS, [metrics.record_row(r) for r in records])
+    write_csv(out / "episodes.csv", metrics.CSV_COLUMNS, [astuple(r) for r in records])
 
     tail = min(10, episodes)
     summary = metrics.aggregate_tail(records, tail)
@@ -116,7 +114,7 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True):
         [(name, mean, sd) for name, (mean, sd) in summary.items()],
     )
 
-    final = records[-1].confusion
+    final = records[-1]
     write_csv(out / "confusion.csv", ("tp", "fp", "fn", "tn"), [(final.tp, final.fp, final.fn, final.tn)])
     if cfg.log_evidence:
         write_csv(out / "evidence.csv", ("episode", "step", "source", "node", "kind"), env.evidence_log)

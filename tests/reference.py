@@ -13,8 +13,9 @@ at a time: a per-element ``standard_gamma`` or ``random`` call gives the
 bytes of the vector call.  It shares none of the program's step code: it
 calls no ``Perturbation``, ``apply_perturbations``, ``run_consensus_round``,
 ``sample_top_k``, ``extract_state``, ``PolicyGate`` or attack family
-function.  Its per-node state is copied from the network once per episode,
-after ``reset_profiles``, and never resynced inside an episode.
+function.  Its per-node state is copied from the masses
+``Environment.begin_episode`` draws, once per episode, and never resynced
+inside an episode.
 """
 
 from __future__ import annotations
@@ -325,7 +326,7 @@ def reference_from(env) -> Reference:
 
 
 def begin_episode(ref: Reference, net, episode: int) -> None:
-    """Copy the masses ``reset_profiles`` just drew and clear the episode's counters."""
+    """Copy the masses ``Environment.begin_episode`` just drew and clear the episode's counters."""
     ref.alphas, ref.betas = [float(a) for a in net.alphas], [float(b) for b in net.betas]
     ref.episode, ref.step, ref.chain = episode, 0, 0
     ref.blocks.clear()

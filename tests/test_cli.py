@@ -12,7 +12,7 @@ from trustsim.config import (
     load_config_file,
     manifest_lines,
 )
-from trustsim.metrics import CSV_COLUMNS, ConfusionMatrix, EpisodeRecord
+from trustsim.metrics import CSV_COLUMNS, EpisodeRecord
 from trustsim.runner import run_experiment, run_matrix
 from trustsim.cli import main
 
@@ -195,10 +195,13 @@ def rec(ep, reward, f1_value):
     return EpisodeRecord(
         episode=ep,
         cumulative_reward=reward,
-        confusion=ConfusionMatrix(5, 0, 0, 11),
         f1=f1_value,
         precision=1.0,
         recall=1.0,
+        tp=5,
+        fp=0,
+        fn=0,
+        tn=11,
         throughput=100,
         chain_length=10,
         mean_kappa=1.0,
@@ -320,6 +323,8 @@ def test_cli_rejects_bad_agent(capsys):
         ["--set", "attack.bfi_sybil_k=1000001"],
         ["--set", "attack.bfi_endorsement_base=2e6"],
         ["--set", "attack.bfi_strike_magnitude=1e300"],
+        ["--seeds", "7,8", "--agent", "rl"],
+        ["--workers", "3", "--agent", "rl"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -384,6 +389,8 @@ def test_cli_rejects_bad_agent(capsys):
         "bfi-sybil-k-above-cap",
         "bfi-endorsement-above-cap",
         "bfi-strike-above-cap",
+        "seeds-without-matrix",
+        "workers-without-matrix",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):

@@ -21,10 +21,11 @@ from trustsim.env import (
     collusion_score,
     compute_reward,
     extract_state,
+    run_episode,
 )
 from trustsim.env import _linear_quantile
 from trustsim.metrics import ConfusionMatrix
-from trustsim.network import NetworkState, init_network, reset_profiles
+from trustsim.network import NetworkState, init_network
 from trustsim.runner import build_simulation, simulate
 from trustsim.trust import TrustUpdateConfig
 
@@ -251,47 +252,48 @@ def test_cumulative_reward_is_the_left_fold_of_step_rewards(agent, monkeypatch):
         assert r.cumulative_reward == functools.reduce(operator.add, rewards[i * 40:(i + 1) * 40], 0.0)
 
 
+@pytest.mark.parametrize("agent", AGENT_KINDS)
+def test_run_episode_after_build_simulation_gives_the_records_of_simulate(agent):
+    # the environment draws each episode's masses itself, so a caller needs nothing but run_episode
+    cfg = ExperimentConfig(agent=agent, attack="cra", episodes=3, steps=20, seed=5)
+    env, built, episodes, _warning = build_simulation(cfg)
+    records = [run_episode(env, built, episode_index=ep) for ep in range(1, episodes + 1)]
+    assert records == simulate(cfg)[0]
+
+
 def from_scratch(env) -> np.ndarray:
-    """The observation computed from the network alone, as ``observe`` computes it without a hand-off."""
+    """The observation computed from the network alone, without the environment's trust view."""
     return extract_state(env.net, env.blocks, kappa_max=env.reward_cfg.kappa_max, steps_per_episode=env.steps,
                          corruption=env.pending_corruption)
 
 
 @pytest.mark.parametrize("attack", ATTACKS)
 def test_observe_after_step_and_at_episode_start_equals_from_scratch(attack, monkeypatch):
-    # after a step, observe reuses the step's trust vector and kappa; at an episode's start,
-    # after reset_profiles, it has none to reuse
+    # observe reads the environment's view, taken after each step's evidence and when an episode begins
     seen = []
     original = Environment.observe
 
     def checked(env):
         expected = from_scratch(env)
-        handed = env.handoff is not None
         state = original(env)
         assert state.tobytes() == expected.tobytes()
-        seen.append(handed)
+        seen.append(env.net.step_index)
         return state
 
     monkeypatch.setattr(Environment, "observe", checked)
     simulate(ExperimentConfig(agent="rl", attack=attack, episodes=2, steps=30, seed=9, allow_short_tdp=True,
                               attack_cfg=AttackConfig(tdp_activation_episode=2)))
-    assert seen == ([False] + [True] * 30) * 2
+    assert seen == list(range(31)) * 2
 
 
 def test_observe_not_directly_after_a_step_computes_from_scratch():
-    env, _agent, rng_reset, _episodes, _warning = build_simulation(ExperimentConfig(agent="rl", attack="cra"))
-    reset_profiles(env.net, rng_reset)
+    env, _agent, _episodes, _warning = build_simulation(ExperimentConfig(agent="rl", attack="cra"))
     env.begin_episode(1)
     env.step(Action.MAINTAIN)
     assert env.observe().tobytes() == from_scratch(env).tobytes()
-    env.net.alphas[0] *= 0.5  # the masses move after the step's view was taken
-    assert env.observe().tobytes() == from_scratch(env).tobytes()
+    assert env.observe().tobytes() == from_scratch(env).tobytes()  # twice in a row
     env.step(Action.MAINTAIN)
-    reset_profiles(env.net, rng_reset)  # fresh masses and step 0: the view's tag no longer matches
-    assert env.observe().tobytes() == from_scratch(env).tobytes()
-    env.step(Action.MAINTAIN)
-    reset_profiles(env.net, rng_reset)  # a new episode before the step's view is used
-    env.begin_episode(2)
+    env.begin_episode(2)  # fresh masses and step 0 before the step's view is used
     assert env.observe().tobytes() == from_scratch(env).tobytes()
 
 
@@ -326,7 +328,7 @@ def test_two_node_population_runs_with_defined_metrics(agent, attack, gate_mode,
     assert len(records) == 2
     for r in records:
         assert 0.0 <= r.f1 <= 1.0 and 0.0 <= r.precision <= 1.0 and 0.0 <= r.recall <= 1.0
-        assert total(r.confusion) == 2
+        assert total(r) == 2
     masses = np.concatenate([env.net.alphas, env.net.betas])
     assert np.isfinite(masses).all() and (masses > 0.0).all()
 
@@ -359,8 +361,7 @@ def test_beta_masses_stay_positive_and_finite(attack, n, ratio, deltas, gamma, s
                               decay_gamma=gamma)
     cfg = ExperimentConfig(agent="rl", attack=attack, episodes=1, steps=20, seed=seed % 1000, n_nodes=n,
                            malicious_ratio=ratio, allow_short_tdp=True, trust=trust, attack_cfg=attack_cfg)
-    env, _agent, rng_reset, _episodes, _warning = build_simulation(cfg)
-    reset_profiles(env.net, rng_reset)
+    env, _agent, _episodes, _warning = build_simulation(cfg)
     env.begin_episode(1)
     for action in np.random.default_rng(seed).integers(0, len(Action), size=cfg.steps).tolist():
         env.step(Action(action))
@@ -374,8 +375,7 @@ def test_repeated_catches_keep_alpha_positive(tmp_path):
     cfg = ExperimentConfig(agent="rl", attack="nma", seed=1, episodes=1, steps=10,
                            policy_file=str(tmp_path / "all.policy"), trust=TrustUpdateConfig(decay_gamma=1e-200),
                            env=EnvConfig(detect_p=1.0))
-    env, _agent, rng_reset, _episodes, _warning = build_simulation(cfg)
-    reset_profiles(env.net, rng_reset)
+    env, _agent, _episodes, _warning = build_simulation(cfg)
     env.begin_episode(1)
     for _ in range(cfg.steps):
         env.step(Action.INCREASE)

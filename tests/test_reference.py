@@ -18,7 +18,6 @@ import pytest
 from trustsim.attacks import FAMILIES, AttackConfig
 from trustsim.config import ExperimentConfig
 from trustsim.env import FEATURE_NAMES, Action
-from trustsim.network import reset_profiles
 from trustsim.runner import build_simulation
 
 from reference import begin_episode, reference_from, reference_observation, reference_step
@@ -70,11 +69,10 @@ def test_step_matches_reference(n, ratio, family, gate_mode, seed):
         allow_short_tdp=True,
         attack_cfg=AttackConfig(tdp_activation_episode=2),
     )
-    env, _agent, rng_reset, episodes, _warning = build_simulation(cfg)
+    env, _agent, episodes, _warning = build_simulation(cfg)
     ref = reference_from(env)
     actions = np.random.default_rng(seed).integers(0, len(Action), size=(episodes, STEPS)).tolist()
     for episode in range(1, episodes + 1):
-        reset_profiles(env.net, rng_reset)
         env.begin_episode(episode)
         begin_episode(ref, env.net, episode)
         mismatch = first_mismatch(env, ref, env.observe(), reference_observation(ref))
