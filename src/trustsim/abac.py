@@ -1,12 +1,13 @@
 """Attribute-based access control evaluated through an opaque encrypted backend.
 
 Decisions follow the pipeline encrypt(attributes) -> evaluate(policy) ->
-decrypt(decision), batched over all nodes of a step.  The default backend
+decrypt(decisions), packed over all nodes of a step: one ciphertext holds
+every node's attributes and one holds every decision.  The default backend
 simulates encryption: plaintexts are fixed-width integer slots, blinded
-with a keyed stream so repeated encryptions of the same attributes differ,
-and evaluation runs the policy compiled to a vectorised predicate.  The
-tests hold both gate modes to a tree-walking evaluator, node by node
-(``tests/reference.py``).
+with a keyed stream under a fresh nonce so repeated encryptions of the
+same attributes differ, and evaluation runs the policy compiled to a
+vectorised predicate.  The tests hold both gate modes to a tree-walking
+evaluator, node by node (``tests/reference.py``).
 
 Policy files use a small expression grammar, e.g.::
 
@@ -20,7 +21,6 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import itertools
 import re
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -210,99 +210,84 @@ class Ciphertext:
 class SimulatedFheBackend:
     """Simulated-encryption backend.
 
-    Plaintexts are fixed-width slot vectors, as FHE schemes pack integers
-    into plaintext slots: an attribute row is one little-endian int64 per
-    column, a decision one byte, 0 or 1.  Each plaintext is XOR-masked
-    with a keystream derived from a per-instance secret key and a fresh
-    nonce, so identical plaintexts never share a payload.  ``eval_rows``
-    opens many attribute ciphertexts, decides them all with one call of a
-    compiled policy and seals each decision.  Sealing and opening take
-    lists: a batch is masked with one XOR over its concatenated messages,
-    and opening refuses a body of any other width than the slots asked
-    for.  The keystreams of the last seal are kept by nonce, so opening
-    what was just sealed hashes nothing again.  The schema is fixed at
-    construction, and its bounds are built once per column tuple.
-    This reproduces the pipeline semantics only; it offers no cryptographic
-    strength and says so in its tag.
+    Plaintexts are packed slot vectors, as FHE schemes pack many integers
+    into the slots of one ciphertext: an attribute matrix is one
+    little-endian int64 slot per cell in row-major order, so row i of a
+    matrix with c columns is slots ``[i*c, (i+1)*c)``, and a vector of
+    decisions is one byte per row, 0 or 1.  Each plaintext is XOR-masked
+    with a keystream, blake2b(key || nonce || block counter) per 64-byte
+    block, under a per-instance secret key derived from the seed.  Nonces
+    come from a seal counter, 16 little-endian bytes, so no nonce repeats
+    within a backend and identical plaintexts never share a payload.
+    ``eval_rows`` opens one attribute ciphertext, decides every row with
+    one call of a compiled policy and seals the decisions as one
+    ciphertext.  Opening refuses a ciphertext of another backend and a
+    body of any other width than the slots asked for.  The keystream of
+    the last seal is kept, so opening what was just sealed hashes nothing
+    again.  The schema is fixed at construction, and its bounds are built
+    once per column tuple.  This reproduces the pipeline semantics only;
+    it offers no cryptographic strength and says so in its tag.
     """
 
     tag = "simulated-fhe"
 
     def __init__(self, seed: int = 0, schema: dict | None = None):
-        self._rng = np.random.default_rng(np.random.SeedSequence([0x5EC12E7, seed]))
-        self._key = self._rng.bytes(32)
+        # the seeded generator derives the key and nothing else
+        self._key = np.random.default_rng(np.random.SeedSequence([0x5EC12E7, seed])).bytes(32)
         # blake2b's state after the key, copied for each keystream block
         self._keyed = hashlib.blake2b(self._key, digest_size=64)
-        self._sealed: dict[bytes, bytes] = {}  # nonce -> keystream, for the last seal only
+        self._seals = 0  # the next seal's nonce, as a count
+        self._last = (b"", b"")  # (nonce, keystream) of the last seal
         # fixed at construction: its bounds are built once per column tuple
         self.schema = MappingProxyType(dict(DEFAULT_SCHEMA if schema is None else schema))
         self._bounds: dict[tuple, tuple] = {}  # columns -> (lows, highs)
 
-    def _keystreams(self, nonces: list, messages: list) -> list[bytes]:
-        """One keystream per message, blake2b(key || nonce || counter) per 64-byte
-        block with the last block cut to the message's length.  A stream depends
-        only on its nonce and length, so one the last seal made is reused."""
-        keyed, sealed = self._keyed, self._sealed
-        streams = []
-        for nonce, data in zip(nonces, messages):
-            size = len(data)
-            stream = sealed.get(nonce)
-            if stream is None or len(stream) != size:
-                blocks = []
-                for start in range(0, size, 64):
-                    block = keyed.copy()
-                    block.update(nonce + (start >> 6).to_bytes(4, "little"))
-                    blocks.append(block.digest()[: size - start])
-                stream = b"".join(blocks)
-            streams.append(stream)
-        return streams
+    def _keystream(self, nonce: bytes, size: int) -> bytes:
+        """``size`` bytes of blake2b(key || nonce || counter) per 64-byte block.  A stream
+        depends only on its nonce and length, so the one the last seal made is reused."""
+        last_nonce, stream = self._last
+        if nonce == last_nonce and len(stream) == size:
+            return stream
+        keyed = self._keyed
+        blocks = []
+        for counter in range(-(-size // 64)):
+            block = keyed.copy()
+            block.update(nonce + counter.to_bytes(4, "little"))
+            blocks.append(block.digest())
+        return b"".join(blocks)[:size]
 
     @staticmethod
-    def _xor(streams: list, messages: list) -> list[bytes]:
-        """Each message XOR its stream, as one XOR of the concatenations read as uint8 arrays."""
-        stream = np.frombuffer(b"".join(streams), dtype=np.uint8)
-        masked = (np.frombuffer(b"".join(messages), dtype=np.uint8) ^ stream).tobytes()
-        offsets = itertools.accumulate(map(len, messages), initial=0)
-        return [masked[start:end] for start, end in itertools.pairwise(offsets)]
+    def _xor(stream: bytes, data: bytes) -> bytes:
+        """``data`` XOR ``stream``, as one XOR of the two read as little-endian integers."""
+        return (int.from_bytes(data, "little") ^ int.from_bytes(stream, "little")).to_bytes(len(data), "little")
 
-    def _mask(self, nonces: list, messages: list) -> list[bytes]:
-        """Each message XOR its keystream."""
-        return self._xor(self._keystreams(nonces, messages), messages)
+    def _mask(self, nonce: bytes, data: bytes) -> bytes:
+        """``data`` XOR its keystream under ``nonce``."""
+        return self._xor(self._keystream(nonce, len(data)), data)
 
-    def draw_nonces(self, count: int) -> list[bytes]:
-        """``count`` fresh nonces from one draw; the same bytes ``count`` seals would draw."""
-        if count == 0:
-            return []  # numpy's bytes(0) still advances the generator
-        pool = self._rng.bytes(NONCE_BYTES * count)
-        return [pool[i : i + NONCE_BYTES] for i in range(0, len(pool), NONCE_BYTES)]
+    def seal(self, plain: bytes) -> Ciphertext:
+        """``plain`` sealed under the next counter nonce; its keystream is kept until the next seal."""
+        nonce = self._seals.to_bytes(NONCE_BYTES, "little")
+        self._seals += 1
+        stream = self._keystream(nonce, len(plain))
+        self._last = (nonce, stream)
+        return Ciphertext(self.tag, nonce + self._xor(stream, plain))
 
-    def seal(self, nonces: list, plains: list) -> list[Ciphertext]:
-        """Plaintext i sealed under ``nonces[i]``; its keystream is kept until the next seal."""
-        streams = self._keystreams(nonces, plains)
-        self._sealed = dict(zip(nonces, streams))
-        return [Ciphertext(self.tag, nonce + body) for nonce, body in zip(nonces, self._xor(streams, plains))]
+    def seal_rows(self, matrix: np.ndarray) -> Ciphertext:
+        """An integer matrix sealed as one ciphertext of little-endian int64 slots, row-major."""
+        return self.seal(np.asarray(matrix, dtype="<i8").tobytes())
 
-    def seal_rows(self, nonces: list, matrix: np.ndarray) -> list[Ciphertext]:
-        """Row i of an integer matrix sealed under ``nonces[i]`` as one little-endian int64 slot per column."""
-        width = 8 * matrix.shape[1]
-        data = np.asarray(matrix, dtype="<i8").tobytes()
-        return self.seal(nonces, [data[i * width : (i + 1) * width] for i in range(len(matrix))])
-
-    def _open(self, cts: list, width: int) -> bytes:
-        """The plaintexts of ``cts``, joined; AbacError for a ciphertext of another
-        backend or one whose body is not exactly ``width`` bytes."""
-        nonces, bodies = [], []
-        for ct in cts:
-            payload = ct.payload
-            if ct.backend_tag != self.tag:
-                raise AbacError(f"ciphertext belongs to backend {ct.backend_tag!r}, not {self.tag!r}")
-            if len(payload) < NONCE_BYTES:
-                raise AbacError(f"ciphertext payload of {len(payload)} bytes is shorter than a nonce")
-            if len(payload) != NONCE_BYTES + width:
-                raise AbacError(f"ciphertext body of {len(payload) - NONCE_BYTES} bytes is not {width} bytes wide")
-            nonces.append(payload[:NONCE_BYTES])
-            bodies.append(payload[NONCE_BYTES:])
-        return b"".join(self._mask(nonces, bodies))
+    def _open(self, ct: Ciphertext, width: int) -> bytes:
+        """The plaintext of ``ct``; AbacError for a ciphertext of another backend
+        or one whose body is not exactly ``width`` bytes."""
+        payload = ct.payload
+        if ct.backend_tag != self.tag:
+            raise AbacError(f"ciphertext belongs to backend {ct.backend_tag!r}, not {self.tag!r}")
+        if len(payload) < NONCE_BYTES:
+            raise AbacError(f"ciphertext payload of {len(payload)} bytes is shorter than a nonce")
+        if len(payload) != NONCE_BYTES + width:
+            raise AbacError(f"ciphertext body of {len(payload) - NONCE_BYTES} bytes is not {width} bytes wide")
+        return self._mask(payload[:NONCE_BYTES], payload[NONCE_BYTES:])
 
     def _schema_bounds(self, columns: tuple) -> tuple:
         bounds = self._bounds.get(columns)
@@ -315,7 +300,7 @@ class SimulatedFheBackend:
         """Refuse an attribute matrix with a value outside the schema's declared range.
 
         Raises on the first out-of-range value in row-major order, before
-        any row is sealed; columns the schema does not name are unbounded.
+        anything is sealed; columns the schema does not name are unbounded.
         """
         lows, highs = self._schema_bounds(columns)
         outside = (matrix < lows) | (matrix > highs)
@@ -323,20 +308,19 @@ class SimulatedFheBackend:
             i, j = np.argwhere(outside)[0]
             raise AbacError(f"attribute {columns[j]!r}={matrix[i, j]} outside declared range [{lows[j]}, {highs[j]}]")
 
-    def eval_rows(self, predicate, columns: tuple, cts: list, nonces: list) -> list[Ciphertext]:
-        """Open every attribute ciphertext as a row of ``columns`` slots, decide all rows
-        with one call of the compiled ``predicate`` and seal decision i under ``nonces[i]``."""
-        # the reshape keeps an empty batch two-dimensional for the predicate
-        matrix = np.frombuffer(self._open(cts, 8 * len(columns)), dtype="<i8").reshape(len(cts), len(columns))
-        decisions = predicate(matrix).tobytes()
-        return self.seal(nonces, [decisions[i : i + 1] for i in range(len(decisions))])
+    def eval_rows(self, predicate, columns: tuple, ct: Ciphertext, rows: int) -> Ciphertext:
+        """Open ``ct`` as ``rows`` rows of ``columns`` slots, decide every row with one call
+        of the compiled ``predicate`` and seal the ``rows`` decision bytes as one ciphertext."""
+        # the reshape keeps an empty matrix two-dimensional for the predicate
+        matrix = np.frombuffer(self._open(ct, 8 * rows * len(columns)), dtype="<i8").reshape(rows, len(columns))
+        return self.seal(predicate(matrix).tobytes())
 
-    def decrypt_decisions(self, cts: list) -> np.ndarray:
-        """The decision each ciphertext holds, as bools; AbacError unless each opens to one byte, 0 or 1."""
-        decisions = np.frombuffer(self._open(cts, 1), dtype=np.uint8)
-        if (decisions > 1).any():
+    def decrypt_decisions(self, ct: Ciphertext, rows: int) -> np.ndarray:
+        """The ``rows`` decisions ``ct`` holds, as bools; AbacError unless it opens to ``rows`` bytes, each 0 or 1."""
+        decisions = self._open(ct, rows)
+        if decisions.translate(None, b"\x00\x01"):  # any byte left once the 0s and 1s are deleted
             raise AbacError("ciphertext does not hold a decision")
-        return decisions == 1
+        return np.frombuffer(decisions, dtype=bool)
 
 
 # --- the gate used by the simulation ----------------------------------------
@@ -349,16 +333,16 @@ class PolicyGate:
     floored to an integer in [0, 100] and the constant validator
     attributes.  Both modes build one integer attribute matrix per step
     (one row per node) and decide it with the policy compiled once.
-    ``mode="plain"`` runs the predicate on the matrix directly;
-    ``mode="encrypted"`` has the backend seal each node's row as int64
-    slots in its own ciphertext under its own nonce, open them all, decide
-    every row in one pass and seal each decision, then open the decisions;
-    each of the three stages is one batched call.  Node i's attributes are
-    sealed under nonce 2i and its decision under nonce 2i + 1, the order a
-    node-by-node seal, open, decide, seal loop draws them in; the tests
-    hold the batch to such a loop.  The two modes are parity-tested and
-    produce identical decisions; plain is the default because it skips the
-    sealing and opening, which cost over ten times the decision itself.
+    ``mode="plain"`` runs the predicate on the matrix directly and builds
+    no backend.  ``mode="encrypted"`` has the backend seal the whole
+    matrix as one ciphertext of int64 slots, open it, decide every row in
+    one pass and seal the decisions as one ciphertext, then open the
+    decisions: two ciphertexts per step, whatever the node count.  The
+    two modes are parity-tested and produce identical decisions; plain is
+    the default because it skips the sealing and opening, which make a
+    16-node gate three to five times as slow on a 2.1 GHz Xeon core: 26
+    against 8 us in a hot loop, and 86 against 17-25 us a step traced in
+    a run (``BENCH_20.json``).
     """
 
     def __init__(self, policy: Policy | None = None, mode: str = "plain", backend=None):
@@ -366,7 +350,9 @@ class PolicyGate:
         if mode not in GATE_MODES:
             raise AbacError(f"gate mode must be one of {GATE_MODES}, got {mode!r}")
         self.mode = mode
-        self.backend = backend if backend is not None else SimulatedFheBackend()
+        if backend is None and mode == "encrypted":
+            backend = SimulatedFheBackend()
+        self.backend = backend
         self._columns = tuple(NODE_ATTRIBUTES)
         self._predicate = compile_policy(self.policy, self._columns)
         self._row = np.array(list(NODE_ATTRIBUTES.values()), dtype=np.int64)
@@ -382,10 +368,7 @@ class PolicyGate:
         matrix[:, 0] = np.minimum(np.maximum(quantized, 0.0, out=quantized), 100.0, out=quantized)
         if self.mode == "plain":
             return self._predicate(matrix).nonzero()[0]
-        backend = self.backend
+        backend, rows = self.backend, len(matrix)
         backend.check_rows(self._columns, matrix)
-        # node i seals its attributes under nonce 2i and its decision under nonce 2i + 1
-        nonces = backend.draw_nonces(2 * len(matrix))
-        cts = backend.seal_rows(nonces[0::2], matrix)
-        decisions = backend.eval_rows(self._predicate, self._columns, cts, nonces[1::2])
-        return backend.decrypt_decisions(decisions).nonzero()[0]
+        decisions = backend.eval_rows(self._predicate, self._columns, backend.seal_rows(matrix), rows)
+        return backend.decrypt_decisions(decisions, rows).nonzero()[0]

@@ -107,12 +107,7 @@ def main(argv=None) -> int:
             updates["agent"] = args.agent
         if args.attack is not None:
             updates["attack"] = args.attack
-        cfg = replace(cfg, **updates)
-        episodes, warning = cfg.resolve_episodes()
-        if warning:
-            print(f"warning: {warning}", file=sys.stderr)
-        print(f"run: agent={cfg.agent} attack={cfg.attack} episodes={episodes} seed={cfg.seed} -> {cfg.out}")
-        records = run_experiment(cfg, quiet=False)
+        records = run_experiment(replace(cfg, **updates), quiet=False)
         print(f"done: {len(records)} episodes, tail-10 mean F1 = {tail_mean_f1(records):.3f}")
         return 0
     except ConfigError as exc:

@@ -96,12 +96,15 @@ def simulate(cfg: ExperimentConfig):
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = True):
     """Execute one configured run and write all artifacts to cfg.out."""
-    make_gate(cfg)  # a bad policy stops the run before its directory is made
+    make_gate(cfg)  # a bad policy stops the run before its directory is made or the run announced
     out = make_out_dir(cfg.out)
+    if not quiet:
+        episodes, warning = cfg.resolve_episodes()
+        if warning:
+            print(f"warning: {warning}", file=sys.stderr)
+        print(f"run: agent={cfg.agent} attack={cfg.attack} episodes={episodes} seed={cfg.seed} -> {cfg.out}")
 
-    records, env, agent, warning = simulate(cfg)
-    if warning and not quiet:
-        print(f"warning: {warning}", file=sys.stderr)
+    records, env, agent, _ = simulate(cfg)
     episodes = len(records)
 
     write_csv(out / "episodes.csv", metrics.CSV_COLUMNS, [astuple(r) for r in records])

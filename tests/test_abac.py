@@ -31,26 +31,25 @@ def backend():
 ATTRS = {"trust": 50, "role": 2, "clearance": 3, "permissions": 7}
 
 
-def seal_row(backend, attrs: dict) -> list:
-    """The values of ``attrs`` as one row of int64 slots, sealed under one fresh nonce."""
-    return backend.seal_rows(backend.draw_nonces(1), np.array([list(attrs.values())], dtype=np.int64))
+def seal_row(backend, attrs: dict) -> Ciphertext:
+    """The values of ``attrs`` as one row of int64 slots, sealed as one ciphertext."""
+    return backend.seal_rows(np.array([list(attrs.values())], dtype=np.int64))
 
 
 def open_row(backend, ct, columns: tuple) -> dict:
     """The attribute row ``ct`` holds, by column name."""
-    return dict(zip(columns, np.frombuffer(backend._open([ct], 8 * len(columns)), dtype="<i8").tolist()))
+    return dict(zip(columns, np.frombuffer(backend._open(ct, 8 * len(columns)), dtype="<i8").tolist()))
 
 
 def encrypted_decision(backend, policy, attrs: dict) -> bool:
     """``attrs`` sealed, decided by the backend with the compiled policy, and the decision opened."""
     columns = tuple(attrs)
-    cts = seal_row(backend, attrs)
-    decisions = backend.eval_rows(compile_policy(policy, columns), columns, cts, backend.draw_nonces(1))
-    return bool(backend.decrypt_decisions(decisions)[0])
+    decisions = backend.eval_rows(compile_policy(policy, columns), columns, seal_row(backend, attrs), 1)
+    return bool(backend.decrypt_decisions(decisions, 1)[0])
 
 
 def test_encrypt_decrypt_round_trip(backend):
-    [ct] = seal_row(backend, ATTRS)
+    ct = seal_row(backend, ATTRS)
     assert len(ct.payload) == 16 + 8 * len(ATTRS)
     assert open_row(backend, ct, tuple(ATTRS)) == ATTRS
 
@@ -62,7 +61,7 @@ def test_encrypt_out_of_range_rejected(backend):
 
 
 def test_blinded_payloads_differ(backend):
-    payloads = {seal_row(backend, ATTRS)[0].payload for _ in range(8)}
+    payloads = {seal_row(backend, ATTRS).payload for _ in range(8)}
     assert len(payloads) == 8
 
 
@@ -83,7 +82,7 @@ def test_eval_unknown_attribute_errors(backend):
     # a ciphertext whose slots are not the columns the compiled policy reads is refused too
     columns = ("missing",)
     with pytest.raises(AbacError, match="body of 32 bytes is not 8 bytes wide"):
-        backend.eval_rows(compile_policy(policy, columns), columns, seal_row(backend, ATTRS), backend.draw_nonces(1))
+        backend.eval_rows(compile_policy(policy, columns), columns, seal_row(backend, ATTRS), 1)
 
 
 def test_plain_eval_boolean_combinators():
@@ -189,10 +188,10 @@ def test_gate_role_requirement():
 
 def test_ciphertext_backend_tag_enforced(backend):
     other = SimulatedFheBackend(seed=9)
-    [ct] = seal_row(backend, ATTRS)
+    ct = seal_row(backend, ATTRS)
     ct_other = type(ct)("other-backend", ct.payload)
     with pytest.raises(AbacError):
-        other._open([ct_other], 8 * len(ATTRS))
+        other._open(ct_other, 8 * len(ATTRS))
 
 
 def per_byte_mask(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -215,9 +214,9 @@ def test_mask_matches_per_byte_loop(backend, length):
     rng = np.random.default_rng(length)
     for _ in range(20):
         nonce, data = rng.bytes(16), rng.bytes(length)
-        [masked] = backend._mask([nonce], [data])
+        masked = backend._mask(nonce, data)
         assert masked == per_byte_mask(backend._key, nonce, data)
-        assert backend._mask([nonce], [masked]) == [data]
+        assert backend._mask(nonce, masked) == data
 
 
 def per_message_mask(key: bytes, nonce: bytes, data: bytes) -> bytes:
@@ -230,16 +229,14 @@ def per_message_mask(key: bytes, nonce: bytes, data: bytes) -> bytes:
     return (int.from_bytes(data, "little") ^ int.from_bytes(stream[:size], "little")).to_bytes(size, "little")
 
 
-def test_mask_of_a_batch_matches_per_message_masks(backend):
+def test_mask_of_a_message_matches_per_message_mask(backend):
     rng = np.random.default_rng(0)
     for _ in range(20):
-        lengths = rng.permutation([0, 1, 58, 63, 64, 65, 200] * 2).tolist()
-        nonces = [rng.bytes(16) for _ in lengths]
-        messages = [rng.bytes(n) for n in lengths]
-        masked = backend._mask(nonces, messages)
-        assert masked == [per_message_mask(backend._key, n, m) for n, m in zip(nonces, messages)]
-        assert backend._mask(nonces, masked) == messages
-    assert backend._mask([], []) == []
+        for length in rng.permutation([0, 1, 58, 63, 64, 65, 200] * 2).tolist():
+            nonce, message = rng.bytes(16), rng.bytes(length)
+            masked = backend._mask(nonce, message)
+            assert masked == per_message_mask(backend._key, nonce, message)
+            assert backend._mask(nonce, masked) == message
 
 
 class CountingKeyed:
@@ -256,43 +253,32 @@ class CountingKeyed:
 def test_opening_hashes_only_what_the_last_seal_did_not(backend):
     backend._keyed = counter = CountingKeyed(backend._keyed)
     rng = np.random.default_rng(3)
-    older = [rng.bytes(n) for n in (32, 1, 65)]
-    older_cts = backend.seal(backend.draw_nonces(3), older)
-    newer = [rng.bytes(32) for _ in range(4)]
-    newer_cts = backend.seal(backend.draw_nonces(4), newer)
-    assert counter.blocks == 4 + 4
-    assert backend._open(newer_cts, 32) == b"".join(newer)  # the last seal's blocks, hashed again for none
-    assert counter.blocks == 8
-    # the older batch's blocks are no longer kept, so opening it hashes them again
-    for ct, plain in zip(older_cts, older):
-        assert backend._open([ct], len(plain)) == plain
-    assert counter.blocks == 8 + 4
+    older = rng.bytes(128)
+    older_ct = backend.seal(older)
+    newer = rng.bytes(128)
+    newer_ct = backend.seal(newer)
+    assert counter.blocks == 2 + 2
+    assert backend._open(newer_ct, 128) == newer  # the last seal's blocks, hashed again for none
+    assert counter.blocks == 4
+    # the older ciphertext's blocks are no longer kept, so opening it hashes them again
+    assert backend._open(older_ct, 128) == older
+    assert counter.blocks == 4 + 2
     # a kept stream is reused only at its own length
-    [ct] = backend.seal(backend.draw_nonces(1), [bytes(1)])
-    nonce = ct.payload[:16]
-    assert backend._mask([nonce], [bytes(40)]) == [per_message_mask(backend._key, nonce, bytes(40))]
+    nonce = backend.seal(bytes(1)).payload[:16]
+    assert backend._mask(nonce, bytes(40)) == per_message_mask(backend._key, nonce, bytes(40))
 
-    # the gate over 16 nodes: 16 attribute rows and 16 decisions, each hashed once
+    # the gate over 16 nodes: 512 bytes of attribute slots and 16 decision bytes, each hashed once
     gate = PolicyGate(mode="encrypted", backend=backend)
     before = counter.blocks
     taus = np.random.default_rng(4).random(16)
     assert np.array_equal(gate.accepted(taus), PolicyGate().accepted(taus))
-    assert counter.blocks - before == 32
+    assert counter.blocks - before == 8 + 1
 
 
-def per_node_pipeline(policy, backend: SimulatedFheBackend, trusts):
-    """Reference for the encrypted gate, node by node: seal the node's attributes under a fresh
-    nonce, open them, decide with ``eval_policy_plain`` and seal the decision under the next nonce.
-    Returns the attribute ciphertexts, the decision ciphertexts and the accepted nodes."""
-    columns = tuple(NODE_ATTRIBUTES)
-    attributes, decisions, accepted = [], [], []
-    for node, tau in enumerate(trusts):
-        attributes += seal_row(backend, node_attributes(tau))
-        decision = eval_policy_plain(policy, open_row(backend, attributes[-1], columns))
-        decisions += backend.seal(backend.draw_nonces(1), [bytes([decision])])
-        if backend._open(decisions[-1:], 1) == b"\x01":
-            accepted.append(node)
-    return attributes, decisions, np.array(accepted, dtype=np.int64)
+def per_node_decisions(policy, trusts) -> np.ndarray:
+    """Reference for the gate, node by node: the nodes whose attributes the policy tree walk accepts."""
+    accepted = [node for node, tau in enumerate(trusts) if eval_policy_plain(policy, node_attributes(tau))]
+    return np.array(accepted, dtype=np.int64)
 
 
 GATE_POLICIES = (None, "(trust < 30) | (trust >= 70)", "(trust != 45) & (clearance >= 3)")
@@ -314,59 +300,85 @@ def test_batched_encrypted_gate_matches_plain_and_per_node(policy_text):
     policy = None if policy_text is None else parse_policy(policy_text)
     plain = PolicyGate(policy, mode="plain")
     gate = PolicyGate(policy, mode="encrypted", backend=SimulatedFheBackend(seed=11))
-    reference = SimulatedFheBackend(seed=11)
-    for taus in trust_vectors(seed=5, count=60):
+    for calls, taus in enumerate(trust_vectors(seed=5, count=60), start=1):
         accepted = gate.accepted(taus)
         assert accepted.dtype == np.int64
         assert np.array_equal(accepted, plain.accepted(taus))
-        assert np.array_equal(accepted, per_node_pipeline(gate.policy, reference, taus)[2])
-        # the batch draws the nonces the per-node loop draws, in the same order
-        assert gate.backend._rng.bit_generator.state == reference._rng.bit_generator.state
+        assert np.array_equal(accepted, per_node_decisions(gate.policy, taus))
+        # two seals a step, the attributes and the decisions, whatever the node count
+        assert gate.backend._seals == 2 * calls
 
 
-def test_batched_encrypted_gate_seals_the_per_node_ciphertexts():
+def test_packed_gate_puts_node_i_in_slots_4i_to_4i_plus_4():
     gate = PolicyGate(mode="encrypted", backend=SimulatedFheBackend(seed=4))
-    batch = {}
-    eval_rows = gate.backend.eval_rows
+    backend, batch = gate.backend, {}
+    eval_rows = backend.eval_rows
 
-    def recording_eval_rows(predicate, columns, cts, nonces):
-        batch["attributes"] = cts
-        batch["decisions"] = eval_rows(predicate, columns, cts, nonces)
+    def recording_eval_rows(predicate, columns, ct, rows):
+        batch["attributes"] = ct
+        batch["decisions"] = eval_rows(predicate, columns, ct, rows)
         return batch["decisions"]
 
-    gate.backend.eval_rows = recording_eval_rows
+    backend.eval_rows = recording_eval_rows
     taus = np.array([0.5, 0.5, 0.2, 0.9, 0.45, 0.5])
     gate.accepted(taus)
-    attributes, decisions, _ = per_node_pipeline(gate.policy, SimulatedFheBackend(seed=4), taus)
-    # one ciphertext per node, each under its own nonce, byte for byte the per-node pipeline's
-    assert batch["attributes"] == attributes
-    assert batch["decisions"] == decisions
-    assert len({ct.payload[:16] for ct in attributes + decisions}) == 2 * len(taus)
+    slots = np.frombuffer(backend._open(batch["attributes"], 32 * len(taus)), dtype="<i8")
+    decisions = backend._open(batch["decisions"], len(taus))
+    for i, tau in enumerate(taus):
+        attrs = node_attributes(tau)
+        assert slots[4 * i : 4 * i + 4].tolist() == [attrs[name] for name in NODE_ATTRIBUTES]
+        assert decisions[i] == eval_policy_plain(gate.policy, attrs)
+    # two ciphertexts under two counter nonces, however many nodes
+    assert [ct.payload[:16] for ct in batch.values()] == [i.to_bytes(16, "little") for i in range(2)]
+
+
+def test_seal_counter_never_repeats_a_nonce(backend):
+    nonces = {backend.seal(b"\x00").payload[:16] for _ in range(10_000)}
+    assert len(nonces) == 10_000 and backend._seals == 10_000
+
+
+def test_backends_seal_by_seed():
+    matrix = np.array([list(ATTRS.values())] * 3, dtype=np.int64)
+
+    def payloads(seed):
+        backend = SimulatedFheBackend(seed=seed)
+        return [backend.seal_rows(matrix).payload for _ in range(4)]
+
+    assert payloads(5) == payloads(5)
+    different = payloads(6)
+    assert all(a != b for a, b in zip(payloads(5), different))
 
 
 def test_batched_encrypted_gate_enforces_schema():
     backend = SimulatedFheBackend(seed=2, schema={**DEFAULT_SCHEMA, "trust": (0, 60)})
     gate = PolicyGate(mode="encrypted", backend=backend)
     assert list(gate.accepted([0.2, 0.5, 0.6])) == [1, 2]
-    state = backend._rng.bit_generator.state
+    seals = backend._seals
     with pytest.raises(AbacError, match=r"'trust'=61 outside declared range \[0, 60\]"):
         gate.accepted([0.2, 0.61, 0.9])
-    assert backend._rng.bit_generator.state == state
+    assert backend._seals == seals  # a refused matrix seals nothing
+
+
+def test_plain_gate_builds_no_backend():
+    assert PolicyGate().backend is None
+    assert isinstance(PolicyGate(mode="encrypted").backend, SimulatedFheBackend)
 
 
 @pytest.mark.parametrize("width", [0, 31, 33])
 def test_eval_rows_refuses_a_row_of_the_wrong_width(backend, width):
     columns = tuple(NODE_ATTRIBUTES)
-    cts = backend.seal(backend.draw_nonces(1), [bytes(width)])
     predicate = compile_policy(parse_policy(DEFAULT_POLICY_TEXT), columns)
-    with pytest.raises(AbacError, match=f"body of {width} bytes is not 32 bytes wide"):
-        backend.eval_rows(predicate, columns, cts, backend.draw_nonces(1))
+    for rows in (1, 16):
+        size = width + 32 * (rows - 1)  # a row short, or one slot byte short or over
+        ct = backend.seal(bytes(size))
+        with pytest.raises(AbacError, match=f"body of {size} bytes is not {32 * rows} bytes wide"):
+            backend.eval_rows(predicate, columns, ct, rows)
 
 
 def test_payload_shorter_than_a_nonce_is_refused(backend):
     for payload in (b"", b"x" * 15):
         with pytest.raises(AbacError, match="shorter than a nonce"):
-            backend.decrypt_decisions([Ciphertext(backend.tag, payload)])
+            backend.decrypt_decisions(Ciphertext(backend.tag, payload), 1)
 
 
 @pytest.mark.parametrize(
@@ -386,12 +398,15 @@ def test_payload_shorter_than_a_nonce_is_refused(backend):
 def test_decrypt_decisions_accepts_only_zero_or_one(backend, obj):
     body, error = obj
     with pytest.raises(AbacError, match=error):
-        backend.decrypt_decisions(backend.seal(backend.draw_nonces(1), [body]))
-    # a refused body among good ones refuses the batch
-    good = backend.seal(backend.draw_nonces(2), [b"\x00", b"\x01"])
-    assert backend.decrypt_decisions(good).tolist() == [False, True]
-    with pytest.raises(AbacError, match=error):
-        backend.decrypt_decisions(good + backend.seal(backend.draw_nonces(1), [body]))
+        backend.decrypt_decisions(backend.seal(body), 1)
+    # a refused body among 15 good decisions refuses them all, wherever it sits
+    good = np.random.default_rng(len(body)).integers(0, 2, 15).astype(np.uint8).tobytes()
+    assert backend.decrypt_decisions(backend.seal(good), 15).tolist() == [b == 1 for b in good]
+    if len(body) != 1:
+        error = f"body of {15 + len(body)} bytes is not 16 bytes wide"
+    for i in range(16):
+        with pytest.raises(AbacError, match=error):
+            backend.decrypt_decisions(backend.seal(good[:i] + body + good[i:]), 16)
 
 
 def test_schema_bounds_are_read_per_column_tuple():

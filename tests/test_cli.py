@@ -410,6 +410,7 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert len(lines) == 1 and lines[0].startswith("config error: ")
     assert "Traceback" not in captured.err
     assert "matrix:" not in captured.out
+    assert "run:" not in captured.out
     assert not (tmp_path / "o").exists()
 
 
