@@ -29,7 +29,8 @@ from .config import (
     apply_override,
     load_config_file,
 )
-from .runner import run_experiment, run_matrix, tail_mean_f1
+from .metrics import aggregate_tail
+from .runner import run_experiment, run_matrix
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -46,7 +47,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=None, help="parallel workers in matrix mode (default 1)")
     parser.add_argument("--set", dest="overrides", action="append", default=[], metavar="SECTION.KEY=VALUE",
                         help="override any config value; repeatable")
-    parser.add_argument("--allow-short-tdp", action="store_true",
+    parser.add_argument("--allow-short-tdp", action="store_true", default=None,
                         help="keep an explicit episode count below 100 under the tdp attack")
     return parser
 
@@ -75,40 +76,25 @@ def main(argv=None) -> int:
             for flag, value in (("--seeds", args.seeds), ("--workers", args.workers)):
                 if value is not None:
                     raise ConfigError(f"{flag} applies only with --matrix")
-        cfg = ExperimentConfig()
-        if args.config:
-            cfg = load_config_file(args.config, base=cfg)
+        cfg = load_config_file(args.config) if args.config else ExperimentConfig()
         for dotted in args.overrides:
             cfg = apply_override(cfg, dotted)
-
-        updates = {}
-        if args.episodes is not None:
-            updates["episodes"] = args.episodes
-        if args.allow_short_tdp:
-            updates["allow_short_tdp"] = True
-        if args.steps is not None:
-            updates["steps"] = args.steps
-        if args.seed is not None:
-            updates["seed"] = args.seed
-        if args.out is not None:
-            updates["out"] = args.out
+        # in matrix mode --agent and --attack are lists that name the cells, not values of the config
+        flags = ("episodes", "steps", "seed", "out", "allow_short_tdp") + (() if args.matrix else ("agent", "attack"))
+        cfg = replace(cfg, **{name: getattr(args, name) for name in flags if getattr(args, name) is not None})
 
         if args.matrix:
             agents = _parse_list(args.agent, AGENT_KINDS, "agent") if args.agent else list(AGENT_KINDS)
             attacks = _parse_list(args.attack, ATTACKS, "attack") if args.attack else list(FAMILIES)
             seeds = _parse_seeds(args.seeds) if args.seeds else list(MATRIX_SEEDS)
-            cfg = replace(cfg, **updates)
             workers = 1 if args.workers is None else args.workers
             results, failures = run_matrix(cfg, agents, attacks, seeds, workers=workers, quiet=False)
             print(f"wrote {cfg.out}/matrix_f1.csv ({len(failures)} failed runs)")
             return 1 if failures else 0
 
-        if args.agent is not None:
-            updates["agent"] = args.agent
-        if args.attack is not None:
-            updates["attack"] = args.attack
-        records = run_experiment(replace(cfg, **updates), quiet=False)
-        print(f"done: {len(records)} episodes, tail-10 mean F1 = {tail_mean_f1(records):.3f}")
+        records = run_experiment(cfg, quiet=False)
+        tail_f1 = aggregate_tail(records, min(10, len(records)))["f1"][0]
+        print(f"done: {len(records)} episodes, tail-10 mean F1 = {tail_f1:.3f}")
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import configparser
 import dataclasses
+import types
+import typing
 from dataclasses import dataclass, field, fields, replace
 
 from .abac import GATE_MODES
@@ -120,15 +122,9 @@ def _coerce(raw: str, target_type):
 
 
 def _field_type(dc_type, name: str):
-    for f in fields(dc_type):
-        if f.name == name:
-            t = f.type
-            if isinstance(t, str):
-                t = {"float": float, "int": int, "str": str, "bool": bool, "tuple": tuple}.get(
-                    t.split("|")[0].strip(), str
-                )
-            return t
-    return None
+    """The type ``name`` is annotated with on ``dc_type`` (``X`` for ``X | None``); None if it has no such field."""
+    t = typing.get_type_hints(dc_type).get(name)
+    return typing.get_args(t)[0] if isinstance(t, types.UnionType) else t
 
 
 def apply_setting(cfg: ExperimentConfig, section: str, key: str, raw: str) -> ExperimentConfig:
@@ -154,8 +150,8 @@ def apply_setting(cfg: ExperimentConfig, section: str, key: str, raw: str) -> Ex
     return replace(cfg, **{attr: nested})
 
 
-def load_config_file(path, base: ExperimentConfig | None = None) -> ExperimentConfig:
-    cfg = base if base is not None else ExperimentConfig()
+def load_config_file(path) -> ExperimentConfig:
+    cfg = ExperimentConfig()
     parser = configparser.ConfigParser()
     try:
         if not parser.read(path, encoding="utf-8"):

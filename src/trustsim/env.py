@@ -88,8 +88,8 @@ class RewardConfig:
     kappa_max: float = 10.0
 
     def __post_init__(self):
-        if min(self.w_f1, self.w_step, self.w_fn) < 0:
-            raise ValueError("reward weights must be nonnegative")
+        if not all(0.0 <= w < math.inf for w in (self.w_f1, self.w_step, self.w_fn)):
+            raise ValueError("reward weights must be finite and nonnegative")
         if self.collusion_cap < 0:
             raise ValueError(f"collusion_cap must be >= 0, got {self.collusion_cap}")
         if self.kappa_max <= 0:

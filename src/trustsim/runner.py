@@ -24,17 +24,11 @@ from .env import Environment, run_episode
 from .network import init_network
 
 
-def _format_value(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
 def write_csv(path, columns, rows) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join(_format_value(v) for v in row) + "\n")
+            fh.write(",".join(map(str, row)) + "\n")
 
 
 def make_out_dir(path) -> Path:
@@ -87,25 +81,24 @@ def build_simulation(cfg: ExperimentConfig):
     return env, agent, episodes, warning
 
 
-def simulate(cfg: ExperimentConfig):
-    """Run the full episode loop in memory; returns (records, env, agent, warning)."""
-    env, agent, episodes, warning = build_simulation(cfg)
+def simulate(sim):
+    """Run every episode of a ``build_simulation`` result in memory; returns (records, env, agent, warning)."""
+    env, agent, episodes, warning = sim
     records = [run_episode(env, agent, episode_index=ep) for ep in range(1, episodes + 1)]
     return records, env, agent, warning
 
 
 def run_experiment(cfg: ExperimentConfig, quiet: bool = True):
     """Execute one configured run and write all artifacts to cfg.out."""
-    make_gate(cfg)  # a bad policy stops the run before its directory is made or the run announced
+    sim = build_simulation(cfg)  # a bad policy stops the run before its directory is made or the run announced
     out = make_out_dir(cfg.out)
+    _env, _agent, episodes, warning = sim
     if not quiet:
-        episodes, warning = cfg.resolve_episodes()
         if warning:
             print(f"warning: {warning}", file=sys.stderr)
         print(f"run: agent={cfg.agent} attack={cfg.attack} episodes={episodes} seed={cfg.seed} -> {cfg.out}")
 
-    records, env, agent, _ = simulate(cfg)
-    episodes = len(records)
+    records, env, agent, _ = simulate(sim)
 
     write_csv(out / "episodes.csv", metrics.CSV_COLUMNS, [astuple(r) for r in records])
 
@@ -129,11 +122,6 @@ def run_experiment(cfg: ExperimentConfig, quiet: bool = True):
         for line in manifest_lines(cfg, episodes, __version__):
             fh.write(line + "\n")
     return records
-
-
-def tail_mean_f1(records, tail: int = 10) -> float:
-    window = records[-min(tail, len(records)):]
-    return float(np.mean([r.f1 for r in window]))
 
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -164,7 +152,7 @@ def spawn_pool(workers: int):
 
 def _matrix_cell(cfg: ExperimentConfig):
     records = run_experiment(cfg)
-    return cfg.agent, cfg.attack, cfg.seed, tail_mean_f1(records)
+    return cfg.agent, cfg.attack, cfg.seed, metrics.aggregate_tail(records, min(10, len(records)))["f1"][0]
 
 
 def run_matrix(
@@ -184,21 +172,20 @@ def run_matrix(
     for what, items in (("agent", agents), ("attack", attacks), ("seed", seeds)):
         if len(set(items)) < len(items):
             raise ConfigError(f"matrix {what} list repeats an entry: {items}")
-    if min(seeds) < 0:
-        raise ConfigError(f"matrix seeds must be >= 0, got {seeds}")
     if workers < 1:
         raise ConfigError(f"matrix workers must be >= 1, got {workers}")
     make_gate(base_cfg)  # every cell shares the policy; a bad one stops the matrix here
-
-    out = make_out_dir(base_cfg.out)
-    if not quiet:
-        print(f"matrix: {len(agents)} agents x {len(attacks)} attacks x {len(seeds)} seeds -> {base_cfg.out}")
-    jobs = [
+    out = Path(base_cfg.out)
+    jobs = [  # ExperimentConfig checks each seed here, before the directory is made
         replace(base_cfg, agent=agent, attack=attack, seed=seed, out=str(out / f"{agent}_{attack}_seed{seed}"))
         for attack in attacks
         for agent in agents
         for seed in seeds
     ]
+
+    make_out_dir(out)
+    if not quiet:
+        print(f"matrix: {len(agents)} agents x {len(attacks)} attacks x {len(seeds)} seeds -> {base_cfg.out}")
 
     results: dict[tuple, list] = {(attack, agent): [] for attack in attacks for agent in agents}
     failures = []
@@ -224,7 +211,7 @@ def run_matrix(
         row = [attack]
         for agent in agents:
             values = results[(attack, agent)]
-            row.append(repr(statistics.median(values)) if values else "missing")
+            row.append(statistics.median(values) if values else "missing")
         rows.append(row)
     write_csv(out / "matrix_f1.csv", ["attack"] + agents, rows)
     return results, failures

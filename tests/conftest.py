@@ -5,7 +5,7 @@ import os
 import pytest
 
 from trustsim.config import ExperimentConfig
-from trustsim.runner import simulate, spawn_pool
+from trustsim.runner import build_simulation, simulate, spawn_pool
 
 ATTACKS = ("nma", "cra", "aaa", "bfi", "tdp")
 AGENTS = ("rl", "drl", "marl")
@@ -15,7 +15,7 @@ SEEDS = (42, 43, 44)
 def run_combo(job):
     attack, agent, seed = job
     cfg = ExperimentConfig(agent=agent, attack=attack, seed=seed)
-    records, _env, _agent, _warning = simulate(cfg)
+    records, _env, _agent, _warning = simulate(build_simulation(cfg))
     return job, [(r.f1, r.cumulative_reward) for r in records]
 
 

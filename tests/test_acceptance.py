@@ -17,7 +17,7 @@ from trustsim.agents.nn import DuelingNetwork, double_q_targets
 from trustsim.config import ExperimentConfig
 from trustsim.env import RewardConfig, compute_reward
 from trustsim.metrics import ConfusionMatrix
-from trustsim.runner import run_experiment, simulate
+from trustsim.runner import build_simulation, run_experiment, simulate
 from trustsim.trust import EvidenceKind, TrustUpdateConfig, sample_top_k
 
 from reference import TrustProfile, apply_evidence, eval_policy_plain, trust_score
@@ -174,8 +174,8 @@ def test_acceptance_5_abac_parity():
 
 def test_acceptance_6_tdp_dormancy_logs():
     base = dict(agent="rl", episodes=26, seed=42, log_evidence=True)
-    _, env_tdp, _, _ = simulate(ExperimentConfig(attack="tdp", allow_short_tdp=True, **base))
-    _, env_none, _, _ = simulate(ExperimentConfig(attack="none", **base))
+    _, env_tdp, _, _ = simulate(build_simulation(ExperimentConfig(attack="tdp", allow_short_tdp=True, **base)))
+    _, env_none, _, _ = simulate(build_simulation(ExperimentConfig(attack="none", **base)))
     dormant_tdp = [e for e in env_tdp.evidence_log if e[0] <= 24]
     dormant_none = [e for e in env_none.evidence_log if e[0] <= 24]
     assert dormant_tdp == dormant_none

@@ -1,9 +1,11 @@
 import csv
 import os
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from trustsim.abac import PolicyGate, SimulatedFheBackend
 from trustsim.charts import emit_charts, render_line_chart
 from trustsim.config import (
     ConfigError,
@@ -325,6 +327,12 @@ def test_cli_rejects_bad_agent(capsys):
         ["--set", "attack.bfi_strike_magnitude=1e300"],
         ["--seeds", "7,8", "--agent", "rl"],
         ["--workers", "3", "--agent", "rl"],
+        ["--set", "reward.w_f1=nan"],
+        ["--set", "reward.w_f1=inf"],
+        ["--set", "reward.w_step=inf"],
+        ["--set", "reward.w_fn=inf"],
+        ["--set", "agent_hyperparams.learning_rate=inf"],
+        ["--set", "agent_hyperparams.reward_scale=inf"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -391,6 +399,12 @@ def test_cli_rejects_bad_agent(capsys):
         "bfi-strike-above-cap",
         "seeds-without-matrix",
         "workers-without-matrix",
+        "nan-reward-w-f1",
+        "infinite-reward-w-f1",
+        "infinite-reward-w-step",
+        "infinite-reward-w-fn",
+        "infinite-learning-rate",
+        "infinite-reward-scale",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
@@ -412,6 +426,27 @@ def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):
     assert "matrix:" not in captured.out
     assert "run:" not in captured.out
     assert not (tmp_path / "o").exists()
+
+
+def test_one_run_builds_one_gate_and_backend_and_resolves_its_episodes_once(tmp_path, monkeypatch, capsys):
+    counts = Counter()
+
+    def count_calls(owner, name):
+        real = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            counts[owner.__name__] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    count_calls(PolicyGate, "__init__")
+    count_calls(SimulatedFheBackend, "__init__")
+    count_calls(ExperimentConfig, "resolve_episodes")
+    cfg = ExperimentConfig(agent="rl", attack="nma", episodes=1, steps=5, gate_mode="encrypted", out=str(tmp_path / "o"))
+    run_experiment(cfg, quiet=False)
+    assert "run:" in capsys.readouterr().out
+    assert counts == {"PolicyGate": 1, "SimulatedFheBackend": 1, "ExperimentConfig": 1}
 
 
 def test_increments_at_the_cap_are_accepted():

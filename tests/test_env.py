@@ -200,8 +200,8 @@ def test_reward_increasing_in_f1_when_unpenalized(tp, fp, kappa):
 
 def test_run_episode_determinism():
     cfg = ExperimentConfig(agent="drl", attack="nma", episodes=3, seed=77)
-    ra, *_ = simulate(cfg)
-    rb, *_ = simulate(cfg)
+    ra, *_ = simulate(build_simulation(cfg))
+    rb, *_ = simulate(build_simulation(cfg))
     assert [(r.f1, r.cumulative_reward, r.chain_length) for r in ra] == [
         (r.f1, r.cumulative_reward, r.chain_length) for r in rb
     ]
@@ -209,7 +209,7 @@ def test_run_episode_determinism():
 
 def test_run_episode_chain_bounded_by_steps():
     cfg = ExperimentConfig(agent="rl", attack="none", episodes=2, seed=5, steps=60)
-    records, *_ = simulate(cfg)
+    records, *_ = simulate(build_simulation(cfg))
     assert all(r.chain_length <= 60 for r in records)
     assert all(r.throughput <= 600 for r in records)
     assert all(r.throughput == r.chain_length * cfg.env.batch_size for r in records)
@@ -232,8 +232,9 @@ def record_results(monkeypatch, method: str) -> list:
 def test_transaction_features_equal_block_features(attack, monkeypatch):
     # every block verifies one full batch, so the two transaction features are the block features
     states = record_results(monkeypatch, "observe")
-    simulate(ExperimentConfig(agent="rl", attack=attack, episodes=2, steps=30, seed=9, allow_short_tdp=True,
-                              attack_cfg=AttackConfig(tdp_activation_episode=2)))
+    cfg = ExperimentConfig(agent="rl", attack=attack, episodes=2, steps=30, seed=9, allow_short_tdp=True,
+                           attack_cfg=AttackConfig(tdp_activation_episode=2))
+    simulate(build_simulation(cfg))
     assert len(states) == 2 * 31
     for s in states:
         assert s[FEATURE_INDEX["verified_tx_norm"]] == s[FEATURE_INDEX["chain_length_norm"]]
@@ -246,7 +247,7 @@ def test_cumulative_reward_is_the_left_fold_of_step_rewards(agent, monkeypatch):
     # sum() compensates float rounding from Python 3.12 on; the record must not depend on the version
     rewards = record_results(monkeypatch, "step")
     cfg = ExperimentConfig(agent=agent, attack="cra", episodes=3, steps=40, seed=11)
-    records, *_ = simulate(cfg)
+    records, *_ = simulate(build_simulation(cfg))
     assert len(rewards) == 3 * 40
     for i, r in enumerate(records):
         assert r.cumulative_reward == functools.reduce(operator.add, rewards[i * 40:(i + 1) * 40], 0.0)
@@ -258,7 +259,7 @@ def test_run_episode_after_build_simulation_gives_the_records_of_simulate(agent)
     cfg = ExperimentConfig(agent=agent, attack="cra", episodes=3, steps=20, seed=5)
     env, built, episodes, _warning = build_simulation(cfg)
     records = [run_episode(env, built, episode_index=ep) for ep in range(1, episodes + 1)]
-    assert records == simulate(cfg)[0]
+    assert records == simulate(build_simulation(cfg))[0]
 
 
 def from_scratch(env) -> np.ndarray:
@@ -281,8 +282,9 @@ def test_observe_after_step_and_at_episode_start_equals_from_scratch(attack, mon
         return state
 
     monkeypatch.setattr(Environment, "observe", checked)
-    simulate(ExperimentConfig(agent="rl", attack=attack, episodes=2, steps=30, seed=9, allow_short_tdp=True,
-                              attack_cfg=AttackConfig(tdp_activation_episode=2)))
+    cfg = ExperimentConfig(agent="rl", attack=attack, episodes=2, steps=30, seed=9, allow_short_tdp=True,
+                           attack_cfg=AttackConfig(tdp_activation_episode=2))
+    simulate(build_simulation(cfg))
     assert seen == list(range(31)) * 2
 
 
@@ -307,7 +309,7 @@ def test_config_rejects_nonpositive_steps():
 def test_single_role_population_runs_to_completion(attack, ratio):
     cfg = ExperimentConfig(agent="rl", attack=attack, episodes=2, steps=20, seed=3,
                            malicious_ratio=ratio, allow_short_tdp=True)
-    records, env, *_ = simulate(cfg)
+    records, env, *_ = simulate(build_simulation(cfg))
     assert len(records) == 2
     assert int(env.net.malicious_mask.sum()) == (16 if ratio == 1.0 else 0)
     assert all(r.trust_separation == 0.0 for r in records)
@@ -324,7 +326,7 @@ def test_two_node_population_runs_with_defined_metrics(agent, attack, gate_mode,
     cfg = ExperimentConfig(agent=agent, attack=attack, episodes=2, steps=20, seed=3, n_nodes=2,
                            malicious_ratio=ratio, gate_mode=gate_mode, allow_short_tdp=True,
                            attack_cfg=AttackConfig(tdp_activation_episode=2))
-    records, env, *_ = simulate(cfg)
+    records, env, *_ = simulate(build_simulation(cfg))
     assert len(records) == 2
     for r in records:
         assert 0.0 <= r.f1 <= 1.0 and 0.0 <= r.precision <= 1.0 and 0.0 <= r.recall <= 1.0

@@ -16,7 +16,7 @@ import pytest
 import trustsim.env
 from trustsim.attacks import FAMILIES, Perturbation
 from trustsim.config import ExperimentConfig
-from trustsim.runner import simulate
+from trustsim.runner import build_simulation, simulate
 
 RUN = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
 
@@ -66,7 +66,7 @@ def test_evidence_hook_contract(attack, monkeypatch):
     monkeypatch.setattr(trustsim.env, "apply_perturbations", probe)
     cfg = ExperimentConfig(agent="rl", attack=attack, episodes=1, steps=40, seed=3, allow_short_tdp=True)
     cfg = replace(cfg, attack_cfg=replace(cfg.attack_cfg, tdp_activation_episode=1))
-    simulate(cfg)
+    simulate(build_simulation(cfg))
     assert len(calls) == 40
     assert any(args[1] for args, _ in calls)
     for args, kwargs in calls:
