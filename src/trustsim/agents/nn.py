@@ -53,10 +53,9 @@ class AgentHyperparams:
             raise ValueError("target_sync_every and marl_sync_every must be >= 1")
         if min((*self.hidden_sizes, self.head_hidden)) < 1:
             raise ValueError("hidden_sizes and head_hidden must be >= 1")
-        if not (0.0 < self.learning_rate < np.inf and self.tabular_learning_rate > 0.0):
-            raise ValueError("need 0 < learning_rate < inf and tabular_learning_rate > 0")
-        if not (self.td_clip > 0.0 and 0.0 < self.reward_scale < np.inf):
-            raise ValueError("need td_clip > 0 and 0 < reward_scale < inf")
+        for name in ("learning_rate", "tabular_learning_rate", "td_clip", "reward_scale"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
 
     def episode_eps_decay(self, episodes: int) -> float:
         """Factor so epsilon reaches eps_min at 80% of the episode budget."""

@@ -346,7 +346,11 @@ FAMILY_STEPS = {"nma": nma_step, "cra": cra_step, "aaa": aaa_step, "bfi": bfi_st
 
 
 class Attack:
-    """Binds a family's config and memory; one instance per simulation run."""
+    """Binds a family's config and memory; one instance per simulation run.
+
+    The ``"none"`` family has no step function: its step emits nothing and
+    draws nothing, so a run with no attack takes the same environment step.
+    """
 
     def __init__(self, cfg: AttackConfig):
         self.cfg = cfg

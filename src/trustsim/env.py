@@ -26,11 +26,12 @@ from .abac import PolicyGate
 from .attacks import Attack, apply_perturbations
 from .network import (
     NetworkState,
+    init_network,
     reset_profiles,
     run_consensus_round,
     trust_separation,
 )
-from .trust import TrustUpdateConfig, committee_size, sample_top_k
+from .trust import committee_size, sample_top_k
 
 
 FEATURE_NAMES = (
@@ -88,12 +89,12 @@ class RewardConfig:
     kappa_max: float = 10.0
 
     def __post_init__(self):
-        if not all(0.0 <= w < math.inf for w in (self.w_f1, self.w_step, self.w_fn)):
-            raise ValueError("reward weights must be finite and nonnegative")
-        if self.collusion_cap < 0:
-            raise ValueError(f"collusion_cap must be >= 0, got {self.collusion_cap}")
-        if self.kappa_max <= 0:
-            raise ValueError(f"kappa_max must be > 0, got {self.kappa_max}")
+        if not all(0.0 <= w < math.inf for w in (self.w_f1, self.w_step, self.w_fn, self.collusion_cap)):
+            raise ValueError("reward weights and collusion_cap must be finite and nonnegative")
+        if not (0.0 < self.kappa_max < math.inf):
+            raise ValueError(f"kappa_max must be finite and > 0, got {self.kappa_max}")
+        if not math.isfinite(self.collusion_trigger):
+            raise ValueError(f"collusion_trigger must be finite, got {self.collusion_trigger}")
 
 
 def collusion_score(tau_honest_mean: float, tau_malicious_mean: float, kappa_max: float) -> float:
@@ -221,7 +222,7 @@ def extract_state(
     return state
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnvConfig:
     batch_size: int = 10
     theta: float = 0.45
@@ -242,37 +243,28 @@ class SimulationError(RuntimeError):
 class Environment:
     """One seeded simulation instance; owns the network, gate and attack.
 
-    It is the only writer of the network during a run, so it keeps the
-    network's current trust view, ``taus`` and ``kappa``: taken when an
-    episode begins and after each step's evidence.  The access gate, the
-    reward, ``observe`` and the episode's closing classification read it.
+    It builds the network, the attack and the evidence log from an
+    ``ExperimentConfig``.  The attack is never ``None``: with no attack it
+    is the ``"none"`` family, which steps nothing, so every run takes the
+    same step.  It is the only writer of the network during a run, so it
+    keeps the network's current trust view, ``taus`` and ``kappa``: taken
+    when an episode begins and after each step's evidence.  The access
+    gate, the reward, ``observe`` and the episode's closing classification
+    read it.
     """
 
-    def __init__(
-        self,
-        net: NetworkState,
-        attack: Attack | None,
-        gate: PolicyGate,
-        update_cfg: TrustUpdateConfig,
-        reward_cfg: RewardConfig,
-        env_cfg: EnvConfig,
-        steps: int,
-        rng_reset: np.random.Generator,
-        rng_consensus: np.random.Generator,
-        rng_attack: np.random.Generator,
-        evidence_log: list | None = None,
-    ):
-        self.net = net
-        self.attack = attack
+    def __init__(self, cfg, gate: PolicyGate, rng_init, rng_reset, rng_consensus, rng_attack):
+        self.net = init_network(cfg.n_nodes, cfg.malicious_ratio, rng_init)
+        self.attack = Attack(cfg.attack_cfg)
         self.gate = gate
-        self.update_cfg = update_cfg
-        self.reward_cfg = reward_cfg
-        self.cfg = env_cfg
-        self.steps = steps
+        self.update_cfg = cfg.trust
+        self.reward_cfg = cfg.reward
+        self.cfg = cfg.env
+        self.steps = cfg.steps
         self.rng_reset = rng_reset
         self.rng_consensus = rng_consensus
         self.rng_attack = rng_attack
-        self.evidence_log = evidence_log
+        self.evidence_log = [] if cfg.log_evidence else None
         self.blocks: deque = deque(maxlen=HISTORY_WINDOW)
         self.pending_corruption: tuple | None = None
         self.taus: np.ndarray | None = None
@@ -320,14 +312,13 @@ class Environment:
                 delegates,
                 self.rng_consensus,
                 self.update_cfg,
-                posing=self.attack.posing_voters(net) if self.attack else None,
+                posing=self.attack.posing_voters(net),
                 detect_p=self.cfg.detect_p,
                 evidence_log=self.evidence_log,
             )
 
-        if self.attack is not None:
-            perts, self.pending_corruption = self.attack.step(net, self.rng_attack)
-            apply_perturbations(net, perts, accepted=set(accepted.tolist()), evidence_log=self.evidence_log)
+        perts, self.pending_corruption = self.attack.step(net, self.rng_attack)
+        apply_perturbations(net, perts, accepted=set(accepted.tolist()), evidence_log=self.evidence_log)
 
         block = outcome.block_created if outcome else False
         self.blocks.append(block)

@@ -17,11 +17,9 @@ import numpy as np
 from . import __version__, metrics
 from .abac import AbacError, PolicyGate, load_policy
 from .agents import make_agent, save_agent
-from .attacks import Attack
 from .charts import emit_charts
 from .config import MATRIX_SEEDS, ConfigError, ExperimentConfig, manifest_lines
 from .env import Environment, run_episode
-from .network import init_network
 
 
 def write_csv(path, columns, rows) -> None:
@@ -51,33 +49,14 @@ def make_gate(cfg: ExperimentConfig) -> PolicyGate:
 
 
 def build_simulation(cfg: ExperimentConfig):
-    """Construct the seeded network, gate, attack, agent, and environment."""
+    """The seeded environment and agent ``cfg`` describes, with the resolved episode count and its warning."""
     episodes, warning = cfg.resolve_episodes()
     seq = np.random.SeedSequence(cfg.seed)
     rng_init, rng_reset, rng_consensus, rng_attack, rng_agent = (
         np.random.default_rng(child) for child in seq.spawn(5)
     )
-
-    net = init_network(cfg.n_nodes, cfg.malicious_ratio, rng_init)
-    attack = None if cfg.attack == "none" else Attack(cfg.attack_cfg)
-
-    gate = make_gate(cfg)
-
+    env = Environment(cfg, make_gate(cfg), rng_init, rng_reset, rng_consensus, rng_attack)
     agent = make_agent(cfg.agent, cfg.hyper, rng_agent, episodes_total=episodes, n_nodes=cfg.n_nodes)
-    evidence_log = [] if cfg.log_evidence else None
-    env = Environment(
-        net=net,
-        attack=attack,
-        gate=gate,
-        update_cfg=cfg.trust,
-        reward_cfg=cfg.reward,
-        env_cfg=cfg.env,
-        steps=cfg.steps,
-        rng_reset=rng_reset,
-        rng_consensus=rng_consensus,
-        rng_attack=rng_attack,
-        evidence_log=evidence_log,
-    )
     return env, agent, episodes, warning
 
 

@@ -303,7 +303,7 @@ class Reference:
 
 def reference_from(env) -> Reference:
     """A reference for ``env`` as built: its configs and roles, and copies of its two step generators."""
-    attack_cfg = env.attack.cfg if env.attack is not None else None
+    attack_cfg = env.attack.cfg if env.attack.cfg.family != "none" else None
     mask = [bool(b) for b in env.net.malicious_mask]
     return Reference(
         trust_cfg=env.update_cfg,

@@ -333,6 +333,14 @@ def test_cli_rejects_bad_agent(capsys):
         ["--set", "reward.w_fn=inf"],
         ["--set", "agent_hyperparams.learning_rate=inf"],
         ["--set", "agent_hyperparams.reward_scale=inf"],
+        ["--set", "agent_hyperparams.tabular_learning_rate=inf"],
+        ["--set", "agent_hyperparams.td_clip=inf"],
+        ["--set", "reward.kappa_max=nan"],
+        ["--set", "reward.kappa_max=inf"],
+        ["--set", "reward.collusion_trigger=nan"],
+        ["--set", "reward.collusion_trigger=-inf"],
+        ["--set", "reward.collusion_cap=nan"],
+        ["--set", "reward.collusion_cap=inf"],
     ],
     ids=[
         "ratio-out-of-range",
@@ -405,6 +413,14 @@ def test_cli_rejects_bad_agent(capsys):
         "infinite-reward-w-fn",
         "infinite-learning-rate",
         "infinite-reward-scale",
+        "infinite-tabular-learning-rate",
+        "infinite-td-clip",
+        "nan-kappa-max",
+        "infinite-kappa-max",
+        "nan-collusion-trigger",
+        "negative-infinite-collusion-trigger",
+        "nan-collusion-cap",
+        "infinite-collusion-cap",
     ],
 )
 def test_cli_bad_input_exits_2_with_one_line(argv, tmp_path, capsys):

@@ -4,10 +4,10 @@ Both sides run one seeded action sequence from the same start.  After
 every step the observation, the reward, the evidence log and the Beta
 masses must agree bit for bit.  The grid covers population sizes from 2 to
 33, malicious shares from none through one node to all, every attack
-family and both gate modes.  Each cell runs two episodes of 30 steps, and
-the sleepers wake in the second, so both TDP phases run.  The three seeds
-rotate over the cells (cell index mod 3), so every value of every axis
-meets all three.
+family and no attack, and both gate modes.  Each cell runs two episodes of
+30 steps, and the sleepers wake in the second, so both TDP phases run.
+The three seeds rotate over the cells (cell index mod 3), so every value
+of every axis meets all three.
 """
 
 import itertools
@@ -28,9 +28,15 @@ GATE_MODES = ("plain", "encrypted")
 SEEDS = (42, 43, 44)
 EPISODES, STEPS = 2, 30
 
+# the no-attack cells come after the attacked ones, so those keep their ids and seeds
 CELLS = [
     (n, ratio, family, gate_mode, SEEDS[i % len(SEEDS)])
-    for i, (n, ratio, family, gate_mode) in enumerate(itertools.product(SIZES, RATIOS, FAMILIES, GATE_MODES))
+    for i, (n, ratio, family, gate_mode) in enumerate(
+        itertools.chain(
+            itertools.product(SIZES, RATIOS, FAMILIES, GATE_MODES),
+            itertools.product(SIZES, RATIOS, ("none",), GATE_MODES),
+        )
+    )
 ]
 
 
