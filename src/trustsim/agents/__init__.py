@@ -10,7 +10,7 @@ from .tabular import TabularAgent
 AGENT_KINDS = ("rl", "drl", "marl")
 
 
-def make_agent(kind: str, hp: AgentHyperparams, rng, episodes_total: int, n_nodes: int = 16):
+def make_agent(kind: str, hp: AgentHyperparams, rng, episodes_total: int, n_nodes: int):
     if kind == "rl":
         return TabularAgent(hp, rng, episodes_total)
     if kind == "drl":

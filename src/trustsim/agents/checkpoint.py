@@ -20,24 +20,23 @@ import numpy as np
 from .dqn import DqnAgent
 from .marl import MarlPool
 from .nn import AgentHyperparams, layout_views
-from .tabular import DiscretizationSpec, QTable, TabularAgent
+from .tabular import TabularAgent
 
 MAGIC = b"TRUSTSIM-CKPT-1\n"
 _DTYPE = "<f8"
 
 
-def save_checkpoint(path, kind: str, topology: dict, hyperparams: dict, seed, directory, bodies, extra=None) -> None:
-    """Write atomically: ``directory`` names each array's (name, shape) and
-    ``bodies`` holds arrays whose values, back to back, fill that directory."""
+def save_checkpoint(path, kind: str, topology: dict, hyperparams: dict, seed, directory, bodies, eps: float) -> None:
+    """Write atomically: ``directory`` names each array's (name, shape), ``bodies`` holds arrays whose values,
+    back to back, fill that directory, and ``eps`` is the exploration rate the header keeps."""
     header = {
         "kind": kind,
         "topology": topology,
         "hyperparams": hyperparams,
         "seed": seed,
+        "eps": eps,
         "arrays": [{"name": name, "shape": list(shape)} for name, shape in directory],
     }
-    if extra:
-        header.update(extra)
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
@@ -52,13 +51,8 @@ def save_checkpoint(path, kind: str, topology: dict, hyperparams: dict, seed, di
         tmp.unlink(missing_ok=True)
 
 
-# the keys ``save_checkpoint`` writes into every header, and into the topology of each kind
-_HEADER_KEYS = ("kind", "topology", "hyperparams", "seed", "arrays")
-_TOPOLOGY_KEYS = {
-    "tabular": ("bins", "lows", "highs"),
-    "dqn": ("input_dim", "n_actions"),
-    "marl": ("input_dim", "n_actions", "n_agents"),
-}
+# the keys ``save_checkpoint`` writes into every header
+_HEADER_KEYS = ("kind", "topology", "hyperparams", "seed", "eps", "arrays")
 
 
 def load_checkpoint(path):
@@ -125,108 +119,78 @@ def _is_real(value) -> bool:
     return type(value) in (int, float) and math.isfinite(value)
 
 
-def _check_topology(kind, topo, path) -> None:
-    """ValueError unless ``kind`` is known and ``topo`` holds what ``load_agent`` reads for it: for a
-    tabular agent, equal-length lists of bin counts in [1, 256] and finite ranges; else counts >= 1."""
-    if not isinstance(kind, str) or kind not in _TOPOLOGY_KEYS:
-        raise ValueError(f"unknown checkpoint kind {kind!r}")
-    if not isinstance(topo, dict) or any(key not in topo for key in _TOPOLOGY_KEYS[kind]):
-        raise ValueError(f"{path}: {kind} topology lacks one of {', '.join(_TOPOLOGY_KEYS[kind])}")
-    if kind == "tabular":
-        bins, lows, highs = topo["bins"], topo["lows"], topo["highs"]
-        usable = (
-            all(isinstance(v, list) and len(v) == len(bins) > 0 for v in (bins, lows, highs))
-            and all(type(b) is int and 1 <= b <= 256 for b in bins)
-            and all(_is_real(lo) and _is_real(hi) and lo < hi for lo, hi in zip(lows, highs))
-        )
-    else:
-        usable = all(type(topo[key]) is int and topo[key] >= 1 for key in _TOPOLOGY_KEYS[kind])
-    if not usable:
-        raise ValueError(f"{path}: unusable {kind} topology")
-
-
-def _net_directory(net) -> list:
-    """Checkpoint directory of an online/target network pair."""
-    return [(f"{role}.{name}", shape) for role in ("online", "target") for name, shape in net.layout]
-
-
-def save_agent(agent, path, seed=None) -> None:
+def _describe(agent):
+    """``(kind, topology, directory, bodies)`` of ``agent``'s checkpoint: what ``save_agent`` writes, and
+    what ``load_agent`` holds a file to."""
     if isinstance(agent, TabularAgent):
-        keys = sorted(agent.q.table)
-        key_arr = np.array([list(k) for k in keys], dtype=np.float64).reshape(len(keys), len(agent.spec.bins))
-        val_arr = (
-            np.stack([agent.q.table[k] for k in keys])
-            if keys
-            else np.zeros((0, agent.q.n_actions))
-        )
-        save_checkpoint(
-            path,
-            "tabular",
-            {
-                "bins": list(agent.spec.bins),
-                "lows": list(agent.spec.lows),
-                "highs": list(agent.spec.highs),
-            },
-            asdict(agent.hp),
-            seed,
-            [("state_keys", key_arr.shape), ("qvalues", val_arr.shape)],
-            [key_arr, val_arr],
-            extra={"eps": agent.eps},
-        )
-        return
-
+        spec, keys = agent.spec, sorted(agent.q.table)
+        key_arr = np.array([list(k) for k in keys], dtype=np.float64).reshape(len(keys), len(spec.bins))
+        val_arr = np.stack([agent.q.table[k] for k in keys]) if keys else np.zeros((0, agent.q.n_actions))
+        topology = {"bins": list(spec.bins), "lows": list(spec.lows), "highs": list(spec.highs)}
+        return "tabular", topology, [("state_keys", key_arr.shape), ("qvalues", val_arr.shape)], [key_arr, val_arr]
     if isinstance(agent, (DqnAgent, MarlPool)):
         kind = "marl" if isinstance(agent, MarlPool) else "dqn"
         topology = agent.online.topology()
         if kind == "marl":
             topology["n_agents"] = agent.n_agents
-        directory = _net_directory(agent.online)
-        bodies = [agent.online.flat, agent.target.flat]
-        save_checkpoint(path, kind, topology, asdict(agent.hp), seed, directory, bodies, extra={"eps": agent.eps})
-        return
-
+        directory = [(f"{role}.{name}", shape) for role in ("online", "target") for name, shape in agent.online.layout]
+        return kind, topology, directory, [agent.online.flat, agent.target.flat]
     raise TypeError(f"cannot checkpoint agent of type {type(agent).__name__}")
 
 
-def load_agent(path, rng: np.random.Generator | None = None, episodes_total: int = 50):
+def save_agent(agent, path, seed=None) -> None:
+    kind, topology, directory, bodies = _describe(agent)
+    save_checkpoint(path, kind, topology, asdict(agent.hp), seed, directory, bodies, agent.eps)
+
+
+def load_agent(path):
+    """The agent a checkpoint holds, whose Q-values are bit-identical to the saved agent's.
+
+    The file's kind and hyperparameters, and for MARL its ``n_agents``, build a fresh agent on
+    ``default_rng(0)`` with a 50-episode exploration schedule.  The file's topology and array directory
+    must be the ones ``save_agent`` writes for that agent, a tabular file keeping its own row count,
+    and each tabular state key must be a bin of its feature's grid, once.  Anything else, and any file
+    ``load_checkpoint`` refuses, raises ValueError.
+    """
     header, body = load_checkpoint(path)
     hp = _hp_from_dict(header["hyperparams"], path)
-    rng = rng if rng is not None else np.random.default_rng(0)
-    kind, topo = header["kind"], header["topology"]
-    _check_topology(kind, topo, path)
-    eps = header.get("eps", hp.eps_min)
+    kind, topo, eps = header["kind"], header["topology"], header["eps"]
     if not (_is_real(eps) and 0.0 <= eps <= 1.0):
         raise ValueError(f"{path}: checkpoint eps {eps!r} is not a number in [0, 1]")
+    rng = np.random.default_rng(0)
+    if kind == "tabular":
+        agent = TabularAgent(hp, rng)
+    elif kind == "dqn":
+        agent = DqnAgent(hp, rng)
+    elif kind == "marl":
+        n_agents = topo.get("n_agents") if isinstance(topo, dict) else None
+        if type(n_agents) is not int or n_agents < 1:
+            raise ValueError(f"{path}: unusable marl topology")
+        agent = MarlPool(hp, rng, n_agents)
+    else:
+        raise ValueError(f"unknown checkpoint kind {kind!r}")
+
+    _, topology, directory, _ = _describe(agent)
+    if kind == "tabular":  # a fresh agent has no rows; the file has one per state key
+        rows = len(body) // sum(width for _, (_, width) in directory)
+        directory = [(name, (rows, width)) for name, (_, width) in directory]
+    if topo != topology:
+        raise ValueError(f"{path}: unusable {kind} topology")
+    if header["arrays"] != [{"name": name, "shape": list(shape)} for name, shape in directory]:
+        raise ValueError(f"{path}: array directory does not match the {kind} agent")
 
     if kind == "tabular":
-        agent = TabularAgent(hp, rng, episodes_total)
-        agent.spec = DiscretizationSpec(tuple(topo["bins"]), tuple(topo["lows"]), tuple(topo["highs"]))
-        agent.q = QTable()
-        layout = [(entry["name"], tuple(entry["shape"])) for entry in header["arrays"]]
-        if [name for name, _ in layout] != ["state_keys", "qvalues"]:
-            raise ValueError(f"{path}: array directory does not match a tabular agent")
-        keys, values = layout_views(body, layout)
-        for i in range(len(keys)):
-            agent.q.table[bytes(int(b) for b in keys[i])] = values[i].copy()
-        agent.eps = eps
-        return agent
-
-    # dqn or marl
-    common = dict(
-        hp=hp,
-        rng=rng,
-        episodes_total=episodes_total,
-        state_dim=topo["input_dim"],
-        n_actions=topo["n_actions"],
-    )
-    agent = MarlPool(n_agents=topo["n_agents"], **common) if kind == "marl" else DqnAgent(**common)
-    directory = [{"name": name, "shape": list(shape)} for name, shape in _net_directory(agent.online)]
-    if header["arrays"] != directory:
-        raise ValueError(f"{path}: array directory does not match the {kind} network layout")
-    online, target = np.split(body, 2)
-    np.copyto(agent.online.flat, online)
-    np.copyto(agent.target.flat, target)
-    if kind == "marl":
-        agent.acting.copy_from(agent.online)
+        keys, values = layout_views(body, directory)
+        if not ((keys == np.floor(keys)) & (keys >= 0) & (keys < agent.spec.bin_counts)).all():
+            raise ValueError(f"{path}: a tabular state key lies outside its feature's bins")
+        agent.q.table = {bytes(key): row.copy() for key, row in zip(keys.astype(np.uint8), values)}
+        if len(agent.q.table) != rows:
+            raise ValueError(f"{path}: a tabular state key is repeated")
+    else:
+        online, target = np.split(body, 2)
+        np.copyto(agent.online.flat, online)
+        np.copyto(agent.target.flat, target)
+        if kind == "marl":
+            agent.acting.copy_from(agent.online)
     agent.eps = eps
     return agent

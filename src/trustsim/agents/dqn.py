@@ -11,20 +11,13 @@ from .nn import Adam, AgentHyperparams, DuelingNetwork, Replay, epsilon_greedy, 
 class DqnAgent:
     """Single learning agent: a one-ring replay, double-Q targets, periodic target sync."""
 
-    def __init__(
-        self,
-        hp: AgentHyperparams,
-        rng: np.random.Generator,
-        episodes_total: int = 50,
-        state_dim: int = STATE_DIM,
-        n_actions: int = N_ACTIONS,
-    ):
+    def __init__(self, hp: AgentHyperparams, rng: np.random.Generator, episodes_total: int = 50):
         self.hp = hp
         self.rng = rng
-        self.online = DuelingNetwork(state_dim, hp.hidden_sizes, hp.head_hidden, n_actions, rng)
+        self.online = DuelingNetwork(STATE_DIM, hp.hidden_sizes, hp.head_hidden, N_ACTIONS, rng=rng)
         self.target = self.online.clone()
         self.optimizer = Adam(self.online.flat, lr=hp.learning_rate)
-        self.replay = Replay(1, hp.buffer_capacity, state_dim)
+        self.replay = Replay(1, hp.buffer_capacity, STATE_DIM)
         self.eps = hp.eps_start
         self._decay = hp.episode_eps_decay(episodes_total)
         self.total_steps = 0

@@ -48,16 +48,14 @@ class MarlPool:
         rng: np.random.Generator,
         n_agents: int = 16,
         episodes_total: int = 50,
-        state_dim: int = STATE_DIM,
-        n_actions: int = N_ACTIONS,
     ):
         self.hp = hp
         self.n_agents = n_agents
-        self.online = DuelingNetwork(state_dim, hp.hidden_sizes, hp.head_hidden, n_actions, rng)
+        self.online = DuelingNetwork(STATE_DIM, hp.hidden_sizes, hp.head_hidden, N_ACTIONS, rng=rng)
         self.acting = self.online.clone()
         self.target = self.online.clone()
         self.optimizer = Adam(self.online.flat, lr=hp.learning_rate)
-        self.replay = Replay(n_agents, hp.buffer_capacity, state_dim)
+        self.replay = Replay(n_agents, hp.buffer_capacity, STATE_DIM)
         streams = rng.spawn(n_agents + 1)
         self.agent_rngs = streams[:n_agents]
         self.train_rng = streams[n_agents]

@@ -96,10 +96,9 @@ class DuelingNetwork:
         hidden_sizes: tuple = (128, 64),
         head_hidden: int = 32,
         n_actions: int = 3,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
     ):
-        if rng is None:
-            rng = np.random.default_rng(0)
         self.input_dim = input_dim
         self.hidden_sizes = tuple(hidden_sizes)
         self.head_hidden = head_hidden

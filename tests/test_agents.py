@@ -801,13 +801,16 @@ def test_checkpoint_damaged_header_rejected(tmp_path, kind):
     rng = np.random.default_rng(9)
     if kind == "marl":
         agent = MarlPool(HP, rng, n_agents=4)
-    else:  # an untrained tabular agent has an empty Q table
+    else:
         agent = {"rl": TabularAgent, "drl": DqnAgent}[kind](HP, rng, 50)
+    if kind == "rl":  # rows in the Q table, so its state keys can be damaged
+        for _ in range(20):
+            agent.observe(rng.uniform(0, 1, 16), int(rng.integers(3)), float(rng.normal()), rng.uniform(0, 1, 16))
     path = tmp_path / f"{kind}.ckpt"
     save_agent(agent, path, seed=9)
     header, body = split_checkpoint(path)
 
-    def refused(header_line: bytes, match: str) -> None:
+    def refused(header_line: bytes, match: str, body: bytes = body) -> None:
         write_checkpoint(path, header_line, body)
         with pytest.raises(ValueError, match=match):
             load_agent(path)
@@ -818,7 +821,7 @@ def test_checkpoint_damaged_header_rejected(tmp_path, kind):
     refused(b"\xff\xfe{}", "not UTF-8 JSON")
     refused(b'{"kind": ', "not UTF-8 JSON")
     refused(b"[1, 2]", "not a JSON object")
-    for key in ("kind", "topology", "hyperparams", "seed", "arrays"):
+    for key in ("kind", "topology", "hyperparams", "seed", "eps", "arrays"):
         refused(encode({k: v for k, v in header.items() if k != key}), f"lacks {key}")
     refused(encode({**header, "kind": ["dqn"]}), "unknown checkpoint kind")
     hyperparams = header["hyperparams"]
@@ -828,11 +831,34 @@ def test_checkpoint_damaged_header_rejected(tmp_path, kind):
     refused(encode({**header, "arrays": [{"name": "x", "shape": ["2"]}]}), "arrays are not a list of names and shapes")
     read = {"rl": "bins", "drl": "input_dim", "marl": "n_agents"}[kind]
     topology = {k: v for k, v in header["topology"].items() if k != read}
-    refused(encode({**header, "topology": topology}), "topology lacks")
+    refused(encode({**header, "topology": topology}), "unusable .* topology")
     for value in ("16", 0, None, [1]):
         refused(encode({**header, "topology": {**header["topology"], read: value}}), "unusable .* topology")
     for eps in ("0.5", 1.5, -0.1, None):
         refused(encode({**header, "eps": eps}), "eps .* is not a number in")
+    if kind == "rl":
+        # a 4-feature grid, and 4-wide state keys whose body fills their directory
+        grid = {key: value[:4] for key, value in header["topology"].items()}
+        refused(encode({**header, "topology": grid}), "unusable tabular topology")
+        rows = header["arrays"][0]["shape"][0]
+        keys, values = np.split(np.frombuffer(body, dtype="<f8"), [16 * rows])
+        narrow = keys.reshape(rows, 16)[:, :4].tobytes() + values.tobytes()
+        arrays = [{"name": "state_keys", "shape": [rows, 4]}, header["arrays"][1]]
+        refused(encode({**header, "arrays": arrays}), "array directory does not match", narrow)
+        # a key past its feature's bins, a fractional key, and a repeated key
+        coarse = header["topology"]["bins"].index(5)
+        for key in (7.0, 2.5):
+            damaged = keys.reshape(rows, 16).copy()
+            damaged[0, coarse] = key
+            refused(encode(header), "outside its feature's bins", damaged.tobytes() + values.tobytes())
+        damaged = keys.reshape(rows, 16).copy()
+        damaged[1] = damaged[0]
+        refused(encode(header), "repeated", damaged.tobytes() + values.tobytes())
+    else:
+        # a network topology that contradicts the hyperparameters that build the agent
+        refused(encode({**header, "topology": {**header["topology"], "hidden_sizes": [64]}}), "unusable .* topology")
+        refused(encode({**header, "topology": {**header["topology"], "head_hidden": 16}}), "unusable .* topology")
+        refused(encode({**header, "hyperparams": {**hyperparams, "hidden_sizes": [64]}}), "unusable .* topology")
     write_checkpoint(path, encode(header), body)
     load_agent(path)
 
@@ -860,7 +886,7 @@ def test_checkpoint_written_atomically(tmp_path):
 
     # a write that dies after the header leaves the old file whole and no temp file behind
     with pytest.raises(OSError):
-        save_checkpoint(path, "dqn", {}, {}, 9, [("x", (2,))], [Unwritable()])
+        save_checkpoint(path, "dqn", {}, {}, 9, [("x", (2,))], [Unwritable()], 0.5)
     assert path.read_bytes() == original
     assert [p.name for p in tmp_path.iterdir()] == ["drl.ckpt"]
 
